@@ -372,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     met = subs.add_parser("metrics", help="compare two CSV files cell by cell")
     met.add_argument(
         "--kind", required=True, choices=("nmi", "mad"),
-        help="nmi flattens both files into label vectors; mad averages |a - b|",
+        help="nmi flattens both files into label vectors; mad is the median |a - b| "
+        "over the strictly lower triangle of two square matrices",
     )
     met.add_argument("--a", required=True)
     met.add_argument("--b", required=True)

@@ -46,9 +46,11 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _sq_dists_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diff = points - center[None, :]
-    return (diff * diff).sum(axis=1)
+def _sq_dists_to(points: np.ndarray, sq_norms: np.ndarray, idx: int) -> np.ndarray:
+    """Squared distances from every point to point idx, in the
+    |x|^2 - 2 x.c + |c|^2 form of Lloyd's loop, clamped at 0."""
+    d2 = sq_norms - 2.0 * (points @ points[idx]) + sq_norms[idx]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
@@ -69,8 +71,9 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
     rng = _as_rng(seed)
     n_trials = 2 + int(np.log(k))
 
+    sq_norms = (points * points).sum(axis=1)
     chosen = [int(rng.integers(m))]
-    min_d2 = _sq_dists_to(points, points[chosen[0]])
+    min_d2 = _sq_dists_to(points, sq_norms, chosen[0])
     for _ in range(1, k):
         total = min_d2.sum()
         if total > 0.0:
@@ -81,7 +84,7 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
             candidates = rng.integers(m, size=n_trials)
         best_pot, best_idx, best_min = np.inf, int(candidates[0]), None
         for idx in candidates:
-            cand_min = np.minimum(min_d2, _sq_dists_to(points, points[int(idx)]))
+            cand_min = np.minimum(min_d2, _sq_dists_to(points, sq_norms, int(idx)))
             pot = cand_min.sum()
             if pot < best_pot:
                 best_pot, best_idx, best_min = pot, int(idx), cand_min
@@ -89,7 +92,6 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
         min_d2 = best_min
     centers = points[chosen].copy()
 
-    sq_norms = (points * points).sum(axis=1)
     labels = np.zeros(m, dtype=int)
     prev_obj = np.inf
     for _ in range(KMEANS_MAX_ITERS):

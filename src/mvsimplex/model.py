@@ -253,15 +253,22 @@ class KappaGamma(NamedTuple):
 
 def precompute_kappa_gamma(S: SimilarityTensor, eta: np.ndarray) -> KappaGamma:
     """kappa^(l) = -sum_v eta_vl logit(s^(v)), gamma_l = sum_v eta_vl, and
-    C = -sum_v sum_{j<i} log(1 - s^(v))."""
+    C = -sum_v sum_{j<i} log(1 - s^(v)).
+
+    Only the live entries (gamma_l > 0) get their kappa filled in; a dead
+    entry's kappa is the zero matrix, which its all-zero eta column gives
+    anyway.  The product over views still covers the whole catalog: over
+    the live rows alone it has another shape, for which BLAS may pick
+    another kernel and change the last bits."""
     ws = pair_workspace(S)
     n = S.n_items
     d = eta.shape[1]
-    kappa_flat = -(eta.T @ ws.logit_flat)
-    kappa = np.zeros((d, n, n))
-    kappa[:, ws.ii, ws.jj] = kappa_flat
-    kappa[:, ws.jj, ws.ii] = kappa_flat
     gamma = eta.sum(axis=0)
+    live = np.nonzero(gamma > 0.0)[0]
+    kappa_flat = -(eta.T @ ws.logit_flat)[live]
+    kappa = np.zeros((d, n, n))
+    kappa[live[:, None], ws.ii, ws.jj] = kappa_flat
+    kappa[live[:, None], ws.jj, ws.ii] = kappa_flat
     return KappaGamma(kappa, gamma, float(-ws.log1m_sum.sum()))
 
 
@@ -289,18 +296,34 @@ def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: flo
     Per pair the data derivative is kappa + gamma * logit(p*); chaining
     through P* = W W^T gives G W per parameterization, and the softmax rows
     map weight-space gradients u to w * (u - <u, w>).
+
+    The data term is computed only for the live entries (gamma_l > 0).  A
+    dead entry has kappa and gamma zero, so its G W is zero and it gets the
+    group-penalty gradient alone, bit for bit what the full sum gives.
     """
     W = row_softmax(logits)
-    P = np.clip(W @ W.transpose(0, 2, 1), _P_LO, _P_HI)
-    G = precomp.kappa + precomp.gamma[:, None, None] * (np.log(P) - np.log1p(-P))
+    h = np.log(W)
+    h -= np.log(epsilon)
+    np.maximum(0.0, h, out=h)
+    col_norm = np.sqrt(GROUP_SMOOTHING + (h * h).sum(axis=1, keepdims=True))
+    grad_w = np.multiply(n_reg, h, out=h)
+    grad_w /= W * col_norm
+    live = np.nonzero(precomp.gamma > 0.0)[0]
+    W_live = W[live]
+    P = np.matmul(W_live, W_live.transpose(0, 2, 1))
+    np.clip(P, _P_LO, _P_HI, out=P)
+    G = np.log(P)
+    np.negative(P, out=P)
+    G -= np.log1p(P, out=P)
+    G *= precomp.gamma[live, None, None]
+    G += precomp.kappa[live]
     idx = np.arange(W.shape[1])
     G[:, idx, idx] = 0.0
-    grad_w = G @ W
-    h = np.maximum(0.0, np.log(W) - np.log(epsilon))
-    col_norm = np.sqrt(GROUP_SMOOTHING + (h * h).sum(axis=1, keepdims=True))
-    grad_w += n_reg * h / (W * col_norm)
+    grad_w[live] += G @ W_live
     inner = (grad_w * W).sum(axis=2, keepdims=True)
-    return W * (grad_w - inner)
+    grad_w -= inner
+    grad_w *= W
+    return grad_w
 
 
 def _adam_descend(logits: np.ndarray, precomp: KappaGamma, config: ModelConfig, n_reg: float) -> np.ndarray:
@@ -450,7 +473,13 @@ def _fit_single(S: SimilarityTensor, config: ModelConfig, seed, n_reg: float) ->
 
 def _run_em(state: FitState, S: SimilarityTensor, config: ModelConfig, n_reg: float) -> None:
     """EM iterations on the state until the stop rule fires or the total
-    count reaches max_em_iters."""
+    count reaches max_em_iters.
+
+    Once an entry is dead (lambda = 0 and an all-zero eta column) the M step
+    gives it the group-penalty gradient alone and zero kappa.  Divergences
+    still cover the whole catalog: over the live entries alone, the product
+    over pairs in view_divergences has another shape, for which BLAS may
+    pick another kernel and change the last bits of the loss."""
     history = state.loss_history
     divergences = view_divergences(state.logits, S)
     for _ in range(config.max_em_iters - (len(history) - 1)):

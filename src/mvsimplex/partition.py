@@ -10,7 +10,7 @@ co-assignment probability; joining forces 1-edges to the whole cluster and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -176,6 +176,25 @@ def numeric_gradient(func, x, step: float = 1e-5):
     return grad
 
 
+def expected_loss_gradient_reference(logits, precomp, epsilon, n_reg):
+    """The descent gradient with the data term G W computed for every
+    catalog entry, dead ones included.  The library skips the entries with
+    zero gamma, which must not move a bit of the result."""
+    from mvsimplex.model import _P_HI, _P_LO, GROUP_SMOOTHING, row_softmax
+
+    W = row_softmax(logits)
+    P = np.clip(W @ W.transpose(0, 2, 1), _P_LO, _P_HI)
+    G = precomp.kappa + precomp.gamma[:, None, None] * (np.log(P) - np.log1p(-P))
+    idx = np.arange(W.shape[1])
+    G[:, idx, idx] = 0.0
+    grad_w = G @ W
+    h = np.maximum(0.0, np.log(W) - np.log(epsilon))
+    col_norm = np.sqrt(GROUP_SMOOTHING + (h * h).sum(axis=1, keepdims=True))
+    grad_w += n_reg * h / (W * col_norm)
+    inner = (grad_w * W).sum(axis=2, keepdims=True)
+    return W * (grad_w - inner)
+
+
 def bound_rhs_reference(P, s_list, M: int, delta: float) -> float:
     """Literal transcription of the bound's right-hand side."""
     P = np.asarray(P, dtype=float)

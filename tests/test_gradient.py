@@ -3,11 +3,12 @@ import numpy as np
 from mvsimplex.model import (
     descent_objective,
     expected_loss_gradient,
+    pair_workspace,
     precompute_kappa_gamma,
     row_softmax,
 )
 from conftest import make_tensor
-from oracles import numeric_gradient
+from oracles import expected_loss_gradient_reference, numeric_gradient
 
 FD_STEP = 1e-5
 REL_TOL = 1e-5
@@ -71,3 +72,41 @@ def test_gradient_shape_matches_logits():
     # softmax chain rule: per-row gradients are orthogonal to the all-ones
     # direction only in weight space, but logit-space rows must sum to 0
     np.testing.assert_allclose(grad.sum(axis=2), 0.0, atol=1e-10)
+
+
+def _eta_with_dead_entries(rng, n_views, d, n_dead):
+    eta = rng.uniform(0.05, 1.0, size=(n_views, d))
+    eta[:, rng.permutation(d)[:n_dead]] = 0.0
+    eta /= eta.sum(axis=1, keepdims=True)
+    return eta
+
+
+def test_gradient_equals_full_catalog_kernel_with_dead_entries():
+    # an entry with an all-zero eta column gets the group-penalty gradient
+    # alone; the full-catalog kernel must agree bit for bit, with none, some
+    # and all but one of the entries dead
+    n_views, n, d, g = 4, 12, 5, 3
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        S = make_tensor(seed + 2000, n_views=n_views, n=n)
+        logits = 3.0 * rng.normal(size=(d, n, g))  # some weights under epsilon
+        for n_dead in (0, 2, d - 1):
+            pc = precompute_kappa_gamma(S, _eta_with_dead_entries(rng, n_views, d, n_dead))
+            got = expected_loss_gradient(logits, pc, 1e-3, float(n))
+            want = expected_loss_gradient_reference(logits, pc, 1e-3, float(n))
+            assert np.array_equal(got, want), f"seed {seed}, {n_dead} dead entries"
+
+
+def test_kappa_fills_live_entries_only():
+    n_views, n, d = 4, 12, 5
+    S = make_tensor(2100, n_views=n_views, n=n)
+    ws = pair_workspace(S)
+    rng = np.random.default_rng(0)
+    for n_dead in (0, 2, d - 1):
+        eta = _eta_with_dead_entries(rng, n_views, d, n_dead)
+        pc = precompute_kappa_gamma(S, eta)
+        full = -(eta.T @ ws.logit_flat)
+        live = eta.sum(axis=0) > 0.0
+        assert np.array_equal(pc.kappa[live][:, ws.ii, ws.jj], full[live])
+        assert np.array_equal(pc.kappa[live][:, ws.jj, ws.ii], full[live])
+        assert np.all(pc.kappa[~live] == 0.0)

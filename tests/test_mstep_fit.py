@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvsimplex import model
 from mvsimplex.metrics import nmi
 from mvsimplex.model import (
     FitState,
@@ -18,7 +19,7 @@ from mvsimplex.model import (
 from mvsimplex.postprocess import view_estimates
 from mvsimplex.similarity import SimilarityTensor, ViewData
 from conftest import make_blobs, make_tensor
-from oracles import reg_loss_reference
+from oracles import expected_loss_gradient_reference, reg_loss_reference
 
 
 def _manual_state(seed, n_views=2, n=12, d=2, g=3):
@@ -96,6 +97,23 @@ def test_fit_merges_split_columns_on_three_blobs():
     assert est.g_hat == 3
     assert nmi(est.labels_pointwise, z) == pytest.approx(1.0)
     assert state.loss_history[-1] == reg_loss(state, S)
+
+
+def test_fit_with_dying_entries_matches_full_catalog_gradient(monkeypatch):
+    # d=4 over 6 random views: entries die at EM iterations 4 and 6 and one
+    # is left live.  The M step computes the data gradient of live entries
+    # only; the fit must equal, bit for bit, one whose gradient covers every
+    # entry.  The cap stops both fits before any column merge.
+    S = make_tensor(0, n_views=6, n=10)
+    config = ModelConfig(d=4, g=3, seed=0, m_iters=10, max_em_iters=12)
+    state = fit(S, config)
+    assert state.converged_by == "cap"
+    assert int((state.lam > 0.0).sum()) == 1
+    monkeypatch.setattr(model, "expected_loss_gradient", expected_loss_gradient_reference)
+    reference = fit(S, config)
+    assert state.loss_history == reference.loss_history
+    np.testing.assert_array_equal(state.logits, reference.logits)
+    np.testing.assert_array_equal(state.eta, reference.eta)
 
 
 def test_fit_window_rule_cannot_fire_early():
