@@ -42,7 +42,12 @@ class FitDivergedError(RuntimeError):
 @dataclass
 class ModelConfig:
     """Fit hyperparameters.  alpha_lambda defaults to 1/d and the group
-    penalty multiplier defaults to the item count n, both resolved lazily."""
+    penalty multiplier defaults to the item count n, both resolved lazily.
+
+    window and conv_tol set the EM stop rule through their ratio alone:
+    EM stops after the first iteration whose relative loss decrease is
+    below conv_tol / window (1e-4 at the defaults, the average rate of a
+    conv_tol decrease over window iterations)."""
 
     d: int
     g: int
@@ -328,19 +333,33 @@ def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: flo
 
 def _adam_descend(logits: np.ndarray, precomp: KappaGamma, config: ModelConfig, n_reg: float) -> np.ndarray:
     """config.m_iters Adam iterations on all logits jointly.  Moments start
-    at zero for every call."""
+    at zero for every call.
+
+    The update runs in place, in the operation order of the textbook form
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    x -= step (m / c1) / (sqrt(v / c2) + eps), so it gives the same bits."""
     x = logits.copy()
     m = np.zeros_like(x)
     v = np.zeros_like(x)
+    buf = np.empty_like(x)
     for t in range(1, config.m_iters + 1):
         grad = expected_loss_gradient(x, precomp, config.epsilon, n_reg)
         if not np.all(np.isfinite(grad)):
             raise FitDivergedError("non-finite gradient during descent")
-        m = config.beta1 * m + (1.0 - config.beta1) * grad
-        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-        m_hat = m / (1.0 - config.beta1 ** t)
-        v_hat = v / (1.0 - config.beta2 ** t)
-        x -= config.step_size * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        np.multiply(grad, 1.0 - config.beta2, out=buf)
+        buf *= grad
+        v *= config.beta2
+        v += buf
+        grad *= 1.0 - config.beta1
+        m *= config.beta1
+        m += grad
+        np.divide(v, 1.0 - config.beta2 ** t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += config.adam_eps
+        np.divide(m, 1.0 - config.beta1 ** t, out=grad)
+        grad *= config.step_size
+        grad /= buf
+        x -= grad
     return x
 
 
@@ -419,10 +438,11 @@ def fit(S: SimilarityTensor, config: ModelConfig) -> FitState:
 
     Each restart initializes from its own derived seed, then alternates
     E step / kappa-gamma precompute / M step, recording reg_loss after every
-    EM iteration.  Convergence fires when the relative decrease over the
-    trailing `window` iterations drops below conv_tol, or immediately when
-    two consecutive losses are bit-equal (nothing left to move); the
-    iteration cap is recorded as non-convergence.
+    EM iteration.  Convergence fires when two consecutive losses are
+    bit-equal (nothing left to move, "stationary"), or after the first
+    iteration whose relative decrease (prev - loss) / |prev| is below
+    conv_tol / window ("window"); a rise in the loss counts as such a step.
+    The iteration cap is recorded as non-convergence ("cap").
 
     Descent alone can stop with a true cluster split over several near
     one-hot columns, which the objective scores well above the joined
@@ -475,6 +495,10 @@ def _run_em(state: FitState, S: SimilarityTensor, config: ModelConfig, n_reg: fl
     """EM iterations on the state until the stop rule fires or the total
     count reaches max_em_iters.
 
+    The stop rule (see fit) looks at the last step only.  After a kept
+    merge, the first resumed step is measured from the last loss before
+    the merge, so the merge's own gain counts in that step.
+
     Once an entry is dead (lambda = 0 and an all-zero eta column) the M step
     gives it the group-penalty gradient alone and zero kappa.  Divergences
     still cover the whole catalog: over the live entries alone, the product
@@ -495,13 +519,11 @@ def _run_em(state: FitState, S: SimilarityTensor, config: ModelConfig, n_reg: fl
             state.converged = True
             state.converged_by = "stationary"
             break
-        if len(history) > config.window:
-            base = history[-1 - config.window]
-            decrease = (base - history[-1]) / max(abs(base), 1e-300)
-            if decrease < config.conv_tol:
-                state.converged = True
-                state.converged_by = "window"
-                break
+        decrease = (history[-2] - history[-1]) / max(abs(history[-2]), 1e-300)
+        if decrease < config.conv_tol / config.window:
+            state.converged = True
+            state.converged_by = "window"
+            break
     else:
         state.converged = False
         state.converged_by = "cap"

@@ -195,6 +195,27 @@ def expected_loss_gradient_reference(logits, precomp, epsilon, n_reg):
     return W * (grad_w - inner)
 
 
+def adam_descend_reference(logits, precomp, config, n_reg):
+    """The M-step Adam loop in its textbook form, with fresh moment and
+    bias-corrected arrays on every step.  The library updates in place in
+    the same operation order, which must not move a bit of the result."""
+    from mvsimplex import model
+
+    x = logits.copy()
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    for t in range(1, config.m_iters + 1):
+        grad = model.expected_loss_gradient(x, precomp, config.epsilon, n_reg)
+        if not np.all(np.isfinite(grad)):
+            raise model.FitDivergedError("non-finite gradient during descent")
+        m = config.beta1 * m + (1.0 - config.beta1) * grad
+        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
+        m_hat = m / (1.0 - config.beta1 ** t)
+        v_hat = v / (1.0 - config.beta2 ** t)
+        x -= config.step_size * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    return x
+
+
 def bound_rhs_reference(P, s_list, M: int, delta: float) -> float:
     """Literal transcription of the bound's right-hand side."""
     P = np.asarray(P, dtype=float)

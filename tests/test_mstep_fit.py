@@ -19,7 +19,7 @@ from mvsimplex.model import (
 from mvsimplex.postprocess import view_estimates
 from mvsimplex.similarity import SimilarityTensor, ViewData
 from conftest import make_blobs, make_tensor
-from oracles import expected_loss_gradient_reference, reg_loss_reference
+from oracles import adam_descend_reference, expected_loss_gradient_reference, reg_loss_reference
 
 
 def _manual_state(seed, n_views=2, n=12, d=2, g=3):
@@ -83,7 +83,7 @@ def test_fit_trivial_model_stops_stationary():
     np.testing.assert_allclose(state.weights, 1.0)
 
 
-def test_fit_merges_split_columns_on_three_blobs():
+def _three_blobs():
     # the data of TestShrinkageMonotonicity: with g=6, descent alone stops
     # with the three blobs split over six occupied columns (pointwise NMI
     # 0.73); the merge step joins them back
@@ -91,7 +91,16 @@ def test_fit_merges_split_columns_on_three_blobs():
     centers = np.array([[0.0, 0.0], [6.0, 6.0], [-6.0, 6.0]])
     z = np.repeat([0, 1, 2], 10)
     y = centers[z] + rng.standard_normal((30, 2))
-    S = SimilarityTensor.from_views([ViewData(y)], q=0.1)
+    return SimilarityTensor.from_views([ViewData(y)], q=0.1), z
+
+
+def _relative_decreases(history):
+    h = np.asarray(history)
+    return (h[:-1] - h[1:]) / np.abs(h[:-1])
+
+
+def test_fit_merges_split_columns_on_three_blobs():
+    S, z = _three_blobs()
     state = fit(S, ModelConfig(d=1, g=6, seed=0))
     est = view_estimates(state, seed=0)[0]
     assert est.g_hat == 3
@@ -116,11 +125,60 @@ def test_fit_with_dying_entries_matches_full_catalog_gradient(monkeypatch):
     np.testing.assert_array_equal(state.eta, reference.eta)
 
 
-def test_fit_window_rule_cannot_fire_early():
+def test_fit_stops_after_first_step_below_the_rate():
+    # EM stops after the first iteration whose relative decrease is below
+    # conv_tol / window, long before `window` iterations have run
     S = make_tensor(5, n_views=2, n=10)
-    state = fit(S, ModelConfig(d=1, g=2, seed=0, window=100))
-    if state.converged_by == "window":
-        assert state.iterations >= 101
+    config = ModelConfig(d=1, g=2, seed=0)
+    state = fit(S, config)
+    assert state.converged_by == "window"
+    assert state.iterations < config.window
+    rate = config.conv_tol / config.window
+    steps = _relative_decreases(state.loss_history)
+    assert np.all(steps[:-1] >= rate)
+    assert steps[-1] < rate
+
+
+def test_fit_stop_rule_depends_on_the_ratio_alone():
+    S = make_tensor(5, n_views=2, n=10)
+    a = fit(S, ModelConfig(d=1, g=2, seed=0))
+    b = fit(S, ModelConfig(d=1, g=2, seed=0, window=10, conv_tol=0.001))
+    assert a.loss_history == b.loss_history
+
+
+def test_fit_resumed_em_after_a_kept_merge_stops_within_window():
+    # the first convergence is followed by a kept merge; EM resumes from
+    # the merged state and stops again under the same rule, without the
+    # pre-merge losses holding it for `window` iterations
+    S, _ = _three_blobs()
+    config = ModelConfig(d=1, g=6, seed=0)
+    state = fit(S, config)
+    rate = config.conv_tol / config.window
+    steps = _relative_decreases(state.loss_history)
+    first_stop = int(np.argmax(steps < rate)) + 1
+    assert steps[first_stop - 1] < rate
+    assert state.iterations > first_stop  # a merge was kept and EM resumed
+    assert state.converged_by == "window"
+    assert state.iterations - first_stop < config.window
+    assert steps[first_stop] > rate  # the merge lowered the loss
+    assert steps[-1] < rate
+
+
+def test_fit_in_place_adam_matches_textbook_loop(monkeypatch):
+    # one fit where entries die and merges are kept, one where a merge is
+    # kept and EM resumes; both must equal, bit for bit, the fit whose M
+    # step runs the textbook Adam loop
+    cases = [
+        (make_tensor(0, n_views=6, n=10), ModelConfig(d=4, g=3, seed=0, m_iters=10)),
+        (_three_blobs()[0], ModelConfig(d=1, g=6, seed=0)),
+    ]
+    states = [fit(S, config) for S, config in cases]
+    monkeypatch.setattr(model, "_adam_descend", adam_descend_reference)
+    for (S, config), state in zip(cases, states):
+        reference = fit(S, config)
+        assert state.loss_history == reference.loss_history
+        np.testing.assert_array_equal(state.logits, reference.logits)
+        np.testing.assert_array_equal(state.eta, reference.eta)
 
 
 def test_fit_iteration_cap_reports_nonconvergence():
