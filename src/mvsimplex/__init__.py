@@ -33,13 +33,9 @@ from .model import (
 from .initialization import initialize, kmeans_pp, log_odds_features
 from .partition import (
     BoundReport,
-    ClusterGraph,
     PartitionSampler,
     bound_rhs,
     canonicalize_labels,
-    empirical_risk,
-    partition_loss,
-    sample_partition,
     verify_theorem,
 )
 from .postprocess import (
@@ -56,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "ClusterGraph",
     "ConsensusResult",
     "FitDivergedError",
     "FitState",
@@ -72,7 +67,6 @@ __all__ = [
     "consensus_views",
     "e_step",
     "effective_counts",
-    "empirical_risk",
     "fit",
     "initialize",
     "kl_bernoulli",
@@ -85,10 +79,8 @@ __all__ = [
     "multi_view",
     "nmi",
     "oracle_coassignment",
-    "partition_loss",
     "reg_loss",
     "row_softmax",
-    "sample_partition",
     "save_fit_state",
     "screen_columns",
     "similarity_matrix",

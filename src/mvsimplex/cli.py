@@ -351,6 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mvsimplex",
         description="Multi-view clustering with simplex-factorized co-assignment probabilities.",
     )
+    parser.add_argument("--debug", action="store_true",
+                        help="raise errors with their traceback instead of one 'error:' line")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="write a synthetic dataset")
@@ -392,6 +394,8 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except Exception as exc:
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,11 +1,11 @@
 """Random partitions, partition risks, and the oracle-inequality check.
 
-A cluster graph is the binary co-assignment matrix of a partition.  The
-sampler grows a partition sequentially: items arrive in random order, try
-existing clusters in creation order, and join the first cluster whose
-first-processed member accepts them by a Bernoulli draw on the matching
-co-assignment probability; joining forces 1-edges to the whole cluster and
-0-edges elsewhere, so every sampled graph is transitive by construction.
+A partition is a row of cluster labels.  The sampler grows a partition
+sequentially: items arrive in random order, try existing clusters in
+creation order, and join the first cluster whose first-processed member
+accepts them by a Bernoulli draw on the matching co-assignment probability;
+joining puts an item in one cluster only, so every sampled co-assignment
+graph is transitive by construction.
 """
 
 from __future__ import annotations
@@ -18,53 +18,6 @@ from .metrics import nmi
 from .model import kl_bernoulli, pair_indices
 
 
-@dataclass
-class ClusterGraph:
-    """Symmetric 0/1 co-assignment matrix with a zero diagonal (an item's
-    self-edge is implied by convention)."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z)
-        if z.ndim != 2 or z.shape[0] != z.shape[1]:
-            raise ValueError(f"z must be square, got shape {z.shape}")
-        self.z = (z != 0).astype(np.uint8)
-        np.fill_diagonal(self.z, 0)
-
-    @classmethod
-    def from_labels(cls, labels) -> "ClusterGraph":
-        labels = np.asarray(labels)
-        z = (labels[:, None] == labels[None, :]).astype(np.uint8)
-        np.fill_diagonal(z, 0)
-        return cls(z)
-
-    @property
-    def n_items(self) -> int:
-        return self.z.shape[0]
-
-    def labels(self) -> np.ndarray:
-        """Cluster labels numbered by first occurrence."""
-        n = self.n_items
-        lab = np.full(n, -1, dtype=int)
-        nxt = 0
-        for i in range(n):
-            if lab[i] < 0:
-                lab[i] = nxt
-                lab[self.z[i] != 0] = nxt
-                nxt += 1
-        return lab
-
-    def is_valid(self) -> bool:
-        """True when the graph is a disjoint union of cliques.  With
-        B = z + I this is exactly pattern(B @ B) == pattern(B), which checks
-        every triple at once."""
-        b = self.z.astype(np.int64) + np.eye(self.n_items, dtype=np.int64)
-        if not np.array_equal(b, b.T):
-            return False
-        return bool(np.array_equal((b @ b) > 0, b > 0))
-
-
 def _check_probability_matrix(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -74,29 +27,8 @@ def _check_probability_matrix(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def sample_partition(P: np.ndarray, seed) -> ClusterGraph:
-    """One draw of the sequential partition process (reference version)."""
-    P = _check_probability_matrix(P)
-    n = P.shape[0]
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    clusters: list[list[int]] = [[int(order[0])]]
-    for j in order[1:]:
-        j = int(j)
-        for members in clusters:
-            if rng.random() < P[members[0], j]:
-                members.append(j)
-                break
-        else:
-            clusters.append([j])
-    lab = np.empty(n, dtype=int)
-    for cid, members in enumerate(clusters):
-        lab[members] = cid
-    return ClusterGraph.from_labels(lab)
-
-
 def sample_partition_labels(P: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of `size` draws of the same process, returned as label rows.
+    """Batch of `size` draws of the sequential process, returned as label rows.
 
     Vectorized across draws: each step draws one uniform per existing
     cluster slot and joins the first accepting cluster, which has the same
@@ -106,25 +38,27 @@ def sample_partition_labels(P: np.ndarray, size: int, rng: np.random.Generator) 
     n = P.shape[0]
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    p_flat = P.ravel()
     perm = rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
-    lab = np.full((size, n), -1, dtype=np.int64)
-    reps = np.full((size, n), -1, dtype=np.int64)
-    ncl = np.ones(size, dtype=np.int64)
     rows = np.arange(size)
-    lab[rows, perm[:, 0]] = 0
-    reps[:, 0] = perm[:, 0]
+    row_off = rows * n
+    lab = np.empty(size * n, dtype=np.int64)
+    lab[row_off + perm[:, 0]] = 0
+    # slot k of a draw holds rep * n, rep the first member of its cluster k;
+    # slots at or past the draw's cluster count are masked out
+    rep_off = np.zeros((n, size), dtype=np.int64)
+    rep_off[0] = perm[:, 0] * n
+    ncl = np.ones(size, dtype=np.int64)
     for t in range(1, n):
         j = perm[:, t]
         u = rng.random((size, t))
-        repmat = reps[:, :t]
-        pvals = P[np.where(repmat >= 0, repmat, 0), j[:, None]]
-        join = (u < pvals) & (np.arange(t)[None, :] < ncl[:, None])
-        any_join = join.any(axis=1)
-        lab[rows, j] = np.where(any_join, join.argmax(axis=1), ncl)
-        started = ~any_join
-        reps[rows[started], ncl[started]] = j[started]
-        ncl += started
-    return lab
+        joined = ncl.copy()
+        for k in range(t - 1, -1, -1):
+            np.copyto(joined, k, where=(u[:, k] < p_flat[rep_off[k] + j]) & (k < ncl))
+        lab[row_off + j] = joined
+        rep_off[ncl, rows] = j * n
+        ncl += joined == ncl
+    return lab.reshape(size, n)
 
 
 def canonicalize_labels(lab: np.ndarray) -> np.ndarray:
@@ -135,37 +69,41 @@ def canonicalize_labels(lab: np.ndarray) -> np.ndarray:
         lab = lab[None, :]
     t, n = lab.shape
     if lab.min() < 0 or lab.max() >= n:
-        _, lab = np.unique(lab, return_inverse=True)
-        lab = lab.reshape(t, n)
-    first = np.full((t, n), n, dtype=np.int64)
-    np.minimum.at(first, (np.repeat(np.arange(t), n), lab.ravel()), np.tile(np.arange(n), t))
-    order = np.argsort(first, axis=1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.broadcast_to(np.arange(n), (t, n)).copy(), axis=1)
-    canon = np.take_along_axis(rank, lab, axis=1)
+        # per-row dense ranks of the values, which lie in [0, n)
+        order = np.argsort(lab, axis=1)
+        srt = np.take_along_axis(lab, order, axis=1)
+        steps = np.zeros((t, n), dtype=np.int64)
+        steps[:, 1:] = srt[:, 1:] != srt[:, :-1]
+        lab = np.empty_like(steps)
+        np.put_along_axis(lab, order, np.cumsum(steps, axis=1), axis=1)
+    # left to right, a label seen for the first time in its row takes the
+    # row's next id; seen[row * n + label] is the id it took
+    row_off = np.arange(t) * n
+    seen = np.full(t * n, -1, dtype=np.int64)
+    count = np.zeros(t, dtype=np.int64)
+    canon = np.empty((t, n), dtype=np.int64)
+    for k in range(n):
+        key = row_off + lab[:, k]
+        ids = seen[key]
+        new = ids < 0
+        ids[new] = count[new]
+        seen[key] = ids
+        count += new
+        canon[:, k] = ids
     return canon[0] if single else canon
 
 
-def partition_loss(a: ClusterGraph, b: ClusterGraph) -> float:
-    """1 - NMI between two partitions; zero exactly on equal partitions."""
-    return 1.0 - nmi(a.labels(), b.labels())
-
-
-def empirical_risk(views: list[ClusterGraph], P: np.ndarray, samples: int, seed) -> float:
-    """Monte-Carlo view-averaged risk: the mean over sampled partitions of
-    the partition loss, averaged over the ground-truth views."""
-    if len(views) == 0:
-        raise ValueError("need at least one view")
-    rng = np.random.default_rng(seed)
-    draws = canonicalize_labels(sample_partition_labels(P, samples, rng))
-    uniq, counts = np.unique(draws, axis=0, return_counts=True)
-    freq = counts / counts.sum()
-    total = 0.0
-    for view in views:
-        ref = view.labels()
-        losses = np.array([1.0 - nmi(ref, row) for row in uniq])
-        total += float(freq @ losses)
-    return total / len(views)
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What np.unique(rows, axis=0, return_counts=True) returns, the unique
+    rows in lexicographic order and their counts, without sorting the rows
+    as a structured dtype."""
+    srt = rows[np.lexsort(rows.T[::-1])]
+    new = np.zeros(srt.shape[0], dtype=bool)
+    new[:1] = True
+    for col in srt.T:
+        new[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(new)
+    return srt[starts], np.diff(np.append(starts, srt.shape[0]))
 
 
 def bound_rhs(P: np.ndarray, s_list, M: int, delta: float) -> float:
@@ -223,12 +161,16 @@ class BoundReport:
 
 
 class _LossTable:
-    """Memoized partition-loss lookups keyed by canonical label rows."""
+    """Memoized partition losses between interned canonical label rows.
+
+    Losses live in a dense matrix over row ids, NaN where not yet computed;
+    it grows geometrically as rows are interned.
+    """
 
     def __init__(self):
         self.ids: dict[bytes, int] = {}
         self.rows: list[np.ndarray] = []
-        self.cache: dict[tuple[int, int], float] = {}
+        self.mat = np.full((0, 0), np.nan)
 
     def intern(self, canon_rows: np.ndarray) -> np.ndarray:
         out = np.empty(canon_rows.shape[0], dtype=np.int64)
@@ -240,18 +182,20 @@ class _LossTable:
                 self.ids[key] = idx
                 self.rows.append(row.astype(np.int64))
             out[r] = idx
+        cap = self.mat.shape[0]
+        if len(self.rows) > cap:
+            grown = np.full((max(len(self.rows), 2 * cap),) * 2, np.nan)
+            grown[:cap, :cap] = self.mat
+            self.mat = grown
         return out
 
-    def loss(self, a: int, b: int) -> float:
-        key = (a, b) if a <= b else (b, a)
-        val = self.cache.get(key)
-        if val is None:
-            val = 1.0 - nmi(self.rows[key[0]], self.rows[key[1]])
-            self.cache[key] = val
-        return val
-
     def loss_vector(self, a_ids: np.ndarray, b_id: int) -> np.ndarray:
-        return np.array([self.loss(int(a), b_id) for a in a_ids])
+        vec = self.mat[a_ids, b_id]
+        for k in np.flatnonzero(np.isnan(vec)):
+            a = int(a_ids[k])
+            lo, hi = min(a, b_id), max(a, b_id)
+            vec[k] = self.mat[a, b_id] = self.mat[b_id, a] = 1.0 - nmi(self.rows[lo], self.rows[hi])
+        return vec
 
 
 def verify_theorem(
@@ -286,14 +230,12 @@ def verify_theorem(
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
         rng = np.random.default_rng(child)
         z0_ids = table.intern(canonicalize_labels(generator.sample_labels(rng, M)))
-        phi_uniq, phi_counts = np.unique(
-            canonicalize_labels(sample_partition_labels(P, empirical_draws, rng)),
-            axis=0, return_counts=True)
+        phi_uniq, phi_counts = _unique_rows(
+            canonicalize_labels(sample_partition_labels(P, empirical_draws, rng)))
         phi_ids = table.intern(phi_uniq)
         phi_freq = phi_counts / phi_counts.sum()
-        gen_uniq, gen_counts = np.unique(
-            canonicalize_labels(generator.sample_labels(rng, generalization_draws)),
-            axis=0, return_counts=True)
+        gen_uniq, gen_counts = _unique_rows(
+            canonicalize_labels(generator.sample_labels(rng, generalization_draws)))
         gen_ids = table.intern(gen_uniq)
         gen_freq = gen_counts / gen_counts.sum()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,6 +148,233 @@ def canonical_tuple(labels) -> tuple:
             mapping[x] = len(mapping)
         out.append(mapping[x])
     return tuple(out)
+
+
+@dataclass
+class ClusterGraph:
+    """Symmetric 0/1 co-assignment matrix with a zero diagonal (an item's
+    self-edge is implied by convention)."""
+
+    z: np.ndarray
+
+    def __post_init__(self):
+        z = np.asarray(self.z)
+        if z.ndim != 2 or z.shape[0] != z.shape[1]:
+            raise ValueError(f"z must be square, got shape {z.shape}")
+        self.z = (z != 0).astype(np.uint8)
+        np.fill_diagonal(self.z, 0)
+
+    @classmethod
+    def from_labels(cls, labels) -> "ClusterGraph":
+        labels = np.asarray(labels)
+        z = (labels[:, None] == labels[None, :]).astype(np.uint8)
+        np.fill_diagonal(z, 0)
+        return cls(z)
+
+    @property
+    def n_items(self) -> int:
+        return self.z.shape[0]
+
+    def labels(self) -> np.ndarray:
+        """Cluster labels numbered by first occurrence."""
+        n = self.n_items
+        lab = np.full(n, -1, dtype=int)
+        nxt = 0
+        for i in range(n):
+            if lab[i] < 0:
+                lab[i] = nxt
+                lab[self.z[i] != 0] = nxt
+                nxt += 1
+        return lab
+
+    def is_valid(self) -> bool:
+        """True when the graph is a disjoint union of cliques.  With
+        B = z + I this is exactly pattern(B @ B) == pattern(B), which checks
+        every triple at once."""
+        b = self.z.astype(np.int64) + np.eye(self.n_items, dtype=np.int64)
+        if not np.array_equal(b, b.T):
+            return False
+        return bool(np.array_equal((b @ b) > 0, b > 0))
+
+
+def sample_partition(P, seed) -> ClusterGraph:
+    """One draw of the sequential partition process, item by item."""
+    from mvsimplex.partition import _check_probability_matrix
+
+    P = _check_probability_matrix(P)
+    n = P.shape[0]
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    clusters: list[list[int]] = [[int(order[0])]]
+    for j in order[1:]:
+        j = int(j)
+        for members in clusters:
+            if rng.random() < P[members[0], j]:
+                members.append(j)
+                break
+        else:
+            clusters.append([j])
+    lab = np.empty(n, dtype=int)
+    for cid, members in enumerate(clusters):
+        lab[members] = cid
+    return ClusterGraph.from_labels(lab)
+
+
+def partition_loss(a: ClusterGraph, b: ClusterGraph) -> float:
+    """1 - NMI between two partitions; zero exactly on equal partitions."""
+    from mvsimplex.metrics import nmi
+
+    return 1.0 - nmi(a.labels(), b.labels())
+
+
+def empirical_risk(views: list, P, samples: int, seed) -> float:
+    """Monte-Carlo view-averaged risk: the mean over sampled partitions of
+    the partition loss, averaged over the ground-truth views."""
+    from mvsimplex.metrics import nmi
+    from mvsimplex.partition import canonicalize_labels, sample_partition_labels
+
+    if len(views) == 0:
+        raise ValueError("need at least one view")
+    rng = np.random.default_rng(seed)
+    draws = canonicalize_labels(sample_partition_labels(P, samples, rng))
+    uniq, counts = np.unique(draws, axis=0, return_counts=True)
+    freq = counts / counts.sum()
+    total = 0.0
+    for view in views:
+        ref = view.labels()
+        losses = np.array([1.0 - nmi(ref, row) for row in uniq])
+        total += float(freq @ losses)
+    return total / len(views)
+
+
+def sample_partition_labels_reference(P, size: int, rng):
+    """The batch sampler with 2-d (draw, slot) arrays: one uniform per
+    existing cluster slot, join the first accepting one.  The library makes
+    the same generator calls in the same order, so equal seeds must give
+    equal labels."""
+    P = np.asarray(P, dtype=float)
+    n = P.shape[0]
+    perm = rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
+    lab = np.full((size, n), -1, dtype=np.int64)
+    reps = np.full((size, n), -1, dtype=np.int64)
+    ncl = np.ones(size, dtype=np.int64)
+    rows = np.arange(size)
+    lab[rows, perm[:, 0]] = 0
+    reps[:, 0] = perm[:, 0]
+    for t in range(1, n):
+        j = perm[:, t]
+        u = rng.random((size, t))
+        repmat = reps[:, :t]
+        pvals = P[np.where(repmat >= 0, repmat, 0), j[:, None]]
+        join = (u < pvals) & (np.arange(t)[None, :] < ncl[:, None])
+        any_join = join.any(axis=1)
+        lab[rows, j] = np.where(any_join, join.argmax(axis=1), ncl)
+        started = ~any_join
+        reps[rows[started], ncl[started]] = j[started]
+        ncl += started
+    return lab
+
+
+class ReferenceSampler:
+    """A generator for verify_theorem_reference on the reference sampler."""
+
+    def __init__(self, P):
+        self.P = np.asarray(P, dtype=float)
+
+    def sample_labels(self, rng, size: int):
+        return sample_partition_labels_reference(self.P, size, rng)
+
+
+def canonicalize_labels_reference(lab):
+    """First-occurrence relabelling by the first position of each label
+    (np.minimum.at) and a stable argsort of those positions."""
+    lab = np.asarray(lab)
+    single = lab.ndim == 1
+    if single:
+        lab = lab[None, :]
+    t, n = lab.shape
+    if lab.min() < 0 or lab.max() >= n:
+        _, lab = np.unique(lab, return_inverse=True)
+        lab = lab.reshape(t, n)
+    first = np.full((t, n), n, dtype=np.int64)
+    np.minimum.at(first, (np.repeat(np.arange(t), n), lab.ravel()), np.tile(np.arange(n), t))
+    order = np.argsort(first, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.broadcast_to(np.arange(n), (t, n)).copy(), axis=1)
+    canon = np.take_along_axis(rank, lab, axis=1)
+    return canon[0] if single else canon
+
+
+class LossTableReference:
+    """Partition losses memoized in a dict keyed by the ordered id pair."""
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.rows: list = []
+        self.cache: dict = {}
+
+    def intern(self, canon_rows):
+        out = np.empty(canon_rows.shape[0], dtype=np.int64)
+        for r, row in enumerate(canon_rows):
+            key = row.astype(np.int64).tobytes()
+            if key not in self.ids:
+                self.ids[key] = len(self.rows)
+                self.rows.append(row.astype(np.int64))
+            out[r] = self.ids[key]
+        return out
+
+    def loss(self, a: int, b: int) -> float:
+        from mvsimplex.metrics import nmi
+
+        key = (a, b) if a <= b else (b, a)
+        if key not in self.cache:
+            self.cache[key] = 1.0 - nmi(self.rows[key[0]], self.rows[key[1]])
+        return self.cache[key]
+
+    def loss_vector(self, a_ids, b_id: int):
+        return np.array([self.loss(int(a), b_id) for a in a_ids])
+
+
+def verify_theorem_reference(generator, P, s_list, M: int, delta: float,
+                             replications: int, seed, empirical_draws: int = 2000,
+                             generalization_draws: int = 10_000):
+    """The replicated bound check with np.unique(axis=0) dedupe, the dict
+    loss table and the reference sampler and canonicalizer.  Returns
+    (lhs, holds_each, skipped_mask); the library must match them bit for
+    bit."""
+    from mvsimplex.partition import bound_rhs
+    from mvsimplex.model import kl_bernoulli
+
+    rhs = bound_rhs(P, s_list, M, delta)
+    table = LossTableReference()
+    lhs = np.full(replications, np.nan)
+    holds_each = np.zeros(replications, dtype=bool)
+    skipped_mask = np.zeros(replications, dtype=bool)
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
+        rng = np.random.default_rng(child)
+        z0_ids = table.intern(canonicalize_labels_reference(generator.sample_labels(rng, M)))
+        phi_uniq, phi_counts = np.unique(
+            canonicalize_labels_reference(
+                sample_partition_labels_reference(P, empirical_draws, rng)),
+            axis=0, return_counts=True)
+        phi_ids = table.intern(phi_uniq)
+        phi_freq = phi_counts / phi_counts.sum()
+        gen_uniq, gen_counts = np.unique(
+            canonicalize_labels_reference(generator.sample_labels(rng, generalization_draws)),
+            axis=0, return_counts=True)
+        gen_ids = table.intern(gen_uniq)
+        gen_freq = gen_counts / gen_counts.sum()
+
+        emp_risk = float(np.mean([phi_freq @ table.loss_vector(phi_ids, z) for z in z0_ids]))
+        gen_risk = float(gen_freq @ np.array(
+            [phi_freq @ table.loss_vector(phi_ids, g) for g in gen_ids]))
+
+        if not (0.0 < emp_risk < 1.0) or not (0.0 < gen_risk < 1.0):
+            skipped_mask[r] = True
+            continue
+        lhs[r] = kl_bernoulli(gen_risk, emp_risk)
+        holds_each[r] = lhs[r] <= rhs
+    return lhs, holds_each, skipped_mask
 
 
 def chi_square_pvalue(observed_counts, probabilities) -> float:

@@ -34,7 +34,6 @@ from mvsimplex.model import (
     row_softmax,
 )
 from mvsimplex.partition import (
-    ClusterGraph,
     PartitionSampler,
     canonicalize_labels,
     sample_partition_labels,
@@ -51,6 +50,7 @@ from mvsimplex.similarity import SimilarityTensor, ViewData
 
 from conftest import make_tensor
 from oracles import (
+    ClusterGraph,
     chi_square_pvalue,
     consensus_oracle_nmi,
     exact_partition_distribution,

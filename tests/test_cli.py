@@ -281,6 +281,18 @@ class TestHelpers:
         with pytest.raises(ValueError, match="p_in"):
             two_block_matrix(4, 1.0, 0.1)
 
+    def test_error_prints_one_line_without_debug(self, tmp_path, capsys):
+        assert run("verify-bound", "--out", tmp_path / "bad", "--m", 1,
+                   "--replications", 2) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: M must be") and "Traceback" not in err
+
+    def test_debug_reraises(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="M must be"):
+            run("--debug", "verify-bound", "--out", tmp_path / "bad", "--m", 1,
+                "--replications", 2)
+        assert "error:" not in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             run("frobnicate")

@@ -3,25 +3,40 @@
 import numpy as np
 import pytest
 
+from mvsimplex.cli import two_block_matrix
 from mvsimplex.partition import (
     BoundReport,
-    ClusterGraph,
     PartitionSampler,
+    _unique_rows,
     bound_rhs,
     canonicalize_labels,
-    empirical_risk,
-    partition_loss,
-    sample_partition,
     sample_partition_labels,
     verify_theorem,
 )
 
 from oracles import (
+    ClusterGraph,
+    ReferenceSampler,
     bound_rhs_reference,
     canonical_tuple,
+    canonicalize_labels_reference,
     chi_square_pvalue,
+    empirical_risk,
     exact_partition_distribution,
+    partition_loss,
+    sample_partition,
+    sample_partition_labels_reference,
+    verify_theorem_reference,
 )
+
+
+def random_probability_matrix(rng, n, binary=False):
+    P = rng.uniform(0.0, 1.0, size=(n, n))
+    P = (P + P.T) / 2
+    if binary:
+        P = (P > 0.5).astype(float)
+    np.fill_diagonal(P, 1.0)
+    return P
 
 
 class TestClusterGraph:
@@ -74,6 +89,54 @@ class TestCanonicalizeLabels:
         lab = np.array([[1, 0, 1, 2], [3, 3, 0, 0]])
         once = canonicalize_labels(lab)
         np.testing.assert_array_equal(canonicalize_labels(once), once)
+
+    @pytest.mark.parametrize("low,high", [(0, 8), (0, 3), (-4, 3), (2, 10), (-3, 5)])
+    def test_batch_equals_reference(self, low, high):
+        rng = np.random.default_rng(high - low)
+        for t in (1, 50, 300):
+            lab = rng.integers(low, high, size=(t, 8))
+            got = canonicalize_labels(lab)
+            want = canonicalize_labels_reference(lab)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(canonicalize_labels(lab[0]),
+                                          canonicalize_labels_reference(lab[0]))
+
+    def test_rows_using_more_than_n_labels_in_all(self):
+        # the labels of all rows together exceed [0, n), each row's do not
+        assert canonicalize_labels(np.array([[0, 1], [2, 3]])).tolist() == [[0, 1], [0, 1]]
+        assert canonicalize_labels(np.array([[5], [-2], [0]])).tolist() == [[0], [0], [0]]
+        rng = np.random.default_rng(4)
+        lab = rng.integers(-1000, 1000, size=(200, 6))
+        lab[:, 3] = lab[:, 0]
+        for row, crow in zip(lab, canonicalize_labels(lab)):
+            assert tuple(crow.tolist()) == canonical_tuple(row)
+
+
+class TestUniqueRows:
+    @staticmethod
+    def check(rows):
+        got_rows, got_counts = _unique_rows(rows)
+        want_rows, want_counts = np.unique(rows, axis=0, return_counts=True)
+        assert got_rows.dtype == want_rows.dtype
+        np.testing.assert_array_equal(got_rows, want_rows)
+        np.testing.assert_array_equal(got_counts, want_counts)
+
+    @pytest.mark.parametrize("n,high", [(1, 3), (3, 2), (5, 5), (8, 3), (20, 4)])
+    def test_random_batches(self, n, high):
+        rng = np.random.default_rng(n)
+        for size in (2, 17, 500):
+            self.check(rng.integers(-high, high, size=(size, n)))
+
+    def test_canonical_draws(self):
+        P = two_block_matrix(5, 0.9, 0.1)
+        self.check(canonicalize_labels(sample_partition_labels(P, 2000, np.random.default_rng(0))))
+
+    def test_one_row(self):
+        self.check(np.array([[2, 0, 1, 0]]))
+
+    def test_all_rows_equal(self):
+        self.check(np.tile(np.array([0, 1, 1, 2, 0]), (40, 1)))
 
 
 class TestSamplers:
@@ -140,6 +203,17 @@ class TestSamplers:
         observed = np.array([counts[k] for k in keys], dtype=float)
         probs = np.array([exact[k] for k in keys])
         assert chi_square_pvalue(observed, probs) > 0.01
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_batch_equals_reference_on_equal_seeds(self, n, binary):
+        for seed in range(3):
+            P = random_probability_matrix(np.random.default_rng((n, seed)), n, binary)
+            for size in (1, 7, 400):
+                got = sample_partition_labels(P, size, np.random.default_rng(seed))
+                want = sample_partition_labels_reference(P, size, np.random.default_rng(seed))
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
     def test_partition_sampler_wraps_batch(self):
         P = np.full((4, 4), 0.5)
@@ -246,6 +320,49 @@ class TestVerifyTheorem:
                            generalization_draws=400)
         np.testing.assert_array_equal(a.lhs, b.lhs)
         assert a.holds_fraction == b.holds_fraction
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("M", [2, 5])
+    def test_equals_reference_loop(self, n, M):
+        # n=8 draws are nearly all distinct partitions, so fewer keep nmi calls down
+        draws = {"empirical_draws": 150, "generalization_draws": 400} if n < 8 else \
+            {"empirical_draws": 40, "generalization_draws": 100}
+        for seed in range(3):
+            if seed == 0:
+                P = two_block_matrix(n, 0.9, 0.1)
+            else:  # seed 2: 0/1 entries, whose n=3 replications are all skipped
+                P = random_probability_matrix(np.random.default_rng((n, M, seed)), n,
+                                              binary=seed == 2)
+            s_list = [np.clip(P, 0.05, 0.95)] * M
+            rep = verify_theorem(PartitionSampler(P), P, s_list, M, 0.2, replications=5,
+                                 seed=seed, **draws)
+            lhs, holds_each, skipped = verify_theorem_reference(
+                ReferenceSampler(P), P, s_list, M, 0.2, replications=5, seed=seed, **draws)
+            np.testing.assert_array_equal(rep.lhs, lhs)
+            np.testing.assert_array_equal(rep.holds_each, holds_each)
+            np.testing.assert_array_equal(rep.skipped_mask, skipped)
+
+    def test_loss_table_computes_each_pair_once(self, monkeypatch):
+        import mvsimplex.metrics
+        import mvsimplex.partition
+
+        calls = {"lib": 0, "ref": 0}
+
+        def counting(key, fn):
+            def wrapped(a, b):
+                calls[key] += 1
+                return fn(a, b)
+            return wrapped
+
+        monkeypatch.setattr(mvsimplex.partition, "nmi", counting("lib", mvsimplex.metrics.nmi))
+        monkeypatch.setattr(mvsimplex.metrics, "nmi", counting("ref", mvsimplex.metrics.nmi))
+        P = two_block_matrix(5, 0.9, 0.1)
+        args = (P, [P] * 3, 3, 0.2)
+        kwargs = {"replications": 6, "seed": 2, "empirical_draws": 300,
+                  "generalization_draws": 600}
+        verify_theorem(PartitionSampler(P), *args, **kwargs)
+        verify_theorem_reference(ReferenceSampler(P), *args, **kwargs)
+        assert calls["lib"] == calls["ref"] > 0
 
     def test_replication_validation(self):
         P = np.full((3, 3), 0.5)
