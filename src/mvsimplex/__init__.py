@@ -10,18 +10,16 @@ induced partition distribution.
 
 from .datagen import (
     consensus_views,
-    mixture_log_densities,
     multi_view,
     screen_columns,
     single_view,
 )
-from .metrics import mad, nmi, oracle_coassignment
+from .metrics import mad, nmi
 from .model import (
     FitDivergedError,
     FitState,
     ModelConfig,
     coassignment_matrix,
-    e_step,
     fit,
     kl_bernoulli,
     load_fit_state,
@@ -65,7 +63,6 @@ __all__ = [
     "coassignment_matrix",
     "consensus_matrix",
     "consensus_views",
-    "e_step",
     "effective_counts",
     "fit",
     "initialize",
@@ -75,10 +72,8 @@ __all__ = [
     "log_odds_features",
     "m_step",
     "mad",
-    "mixture_log_densities",
     "multi_view",
     "nmi",
-    "oracle_coassignment",
     "reg_loss",
     "row_softmax",
     "save_fit_state",

@@ -2,25 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
 import numpy as np
 
 from .similarity import ViewData
 
 SINGLE_VIEW_SETTINGS = ("a", "b", "c", "d", "e", "f")
-
-
-@dataclass
-class SimSpec:
-    """Echo of a simulation request, written next to the artifacts."""
-
-    setting: str
-    n: int
-    v: int
-    seed: int
-    params: dict = field(default_factory=dict)
 
 
 def _two_gaussians(rng, n, z, shift):
@@ -61,58 +47,6 @@ def single_view(setting: str, n: int, seed) -> tuple[ViewData, np.ndarray]:
         y = rng.standard_cauchy(size=(n, 2))
         y[z == 1] += 3.0
     return ViewData(values=y, view_id=1), z
-
-
-def _gauss_logpdf(mean: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    def logpdf(y):
-        diff = y - mean[None, :]
-        return -np.log(2.0 * np.pi) - 0.5 * (diff * diff).sum(axis=1)
-    return logpdf
-
-
-def _shifted_exp_logpdf(rates: np.ndarray, shifts: np.ndarray, signs: np.ndarray):
-    """Componentwise density of sign * Exp(rate) + shift."""
-    def logpdf(y):
-        t = (y - shifts[None, :]) * signs[None, :]
-        ok = (t >= 0.0).all(axis=1)
-        val = (np.log(rates)[None, :] - rates[None, :] * t).sum(axis=1)
-        return np.where(ok, val, -np.inf)
-    return logpdf
-
-
-def _cauchy_logpdf(shift: float) -> Callable[[np.ndarray], np.ndarray]:
-    def logpdf(y):
-        t = y - shift
-        return -(np.log(np.pi) + np.log1p(t * t)).sum(axis=1)
-    return logpdf
-
-
-def mixture_log_densities(setting: str):
-    """(log_densities, weights) of a setting's generating mixture, for the
-    oracle co-assignment matrix."""
-    ones = np.ones(2)
-    if setting == "a":
-        comps = [_gauss_logpdf(np.zeros(2)), _gauss_logpdf(np.full(2, 10.0))]
-    elif setting == "b":
-        comps = [_gauss_logpdf(np.zeros(2)), _gauss_logpdf(np.full(2, 3.0))]
-    elif setting == "c":
-        comps = [_gauss_logpdf(np.zeros(2)), _gauss_logpdf(np.full(2, 2.0))]
-    elif setting == "d":
-        comps = [
-            _shifted_exp_logpdf(ones, np.full(2, -4.0), ones),
-            _shifted_exp_logpdf(ones, np.zeros(2), -ones),
-        ]
-    elif setting == "e":
-        rates = np.array([1.0, 10.0])
-        comps = [
-            _shifted_exp_logpdf(rates, np.zeros(2), ones),
-            _shifted_exp_logpdf(rates, np.array([2.0, 15.0]), ones),
-        ]
-    elif setting == "f":
-        comps = [_cauchy_logpdf(0.0), _cauchy_logpdf(3.0)]
-    else:
-        raise ValueError(f"unknown setting {setting!r}")
-    return comps, np.array([0.5, 0.5])
 
 
 DEFAULT_PATTERN_MEANS = np.array([[0.0, 0.0], [2.0, 2.0], [-2.0, -2.0]])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
 
@@ -52,32 +50,3 @@ def mad(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"need two square matrices of equal shape, got {a.shape} and {b.shape}")
     ii, jj = np.tril_indices(a.shape[0], k=-1)
     return float(np.median(np.abs(a[ii, jj] - b[ii, jj])))
-
-
-def oracle_coassignment(
-    points: np.ndarray,
-    log_densities: Sequence[Callable[[np.ndarray], np.ndarray]],
-    weights: Sequence[float],
-) -> np.ndarray:
-    """Ground-truth co-assignment probabilities under a known mixture.
-
-    p_ij = sum_k tau_k(y_i) tau_k(y_j) with tau_k the posterior component
-    probability pi_k f_k(y) / sum_m pi_m f_m(y).  log_densities maps an
-    (n, p) array to n per-item log densities; -inf marks points outside a
-    component's support.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    weights = np.asarray(weights, dtype=float)
-    if len(log_densities) != weights.size:
-        raise ValueError("one weight per component required")
-    if np.any(weights <= 0) or not np.isclose(weights.sum(), 1.0):
-        raise ValueError("component weights must be positive and sum to 1")
-    logpost = np.stack([np.log(w) + f(points) for w, f in zip(weights, log_densities)], axis=1)
-    top = logpost.max(axis=1, keepdims=True)
-    if not np.all(np.isfinite(top)):
-        raise ValueError("a point has zero density under every component")
-    tau = np.exp(logpost - top)
-    tau /= tau.sum(axis=1, keepdims=True)
-    return tau @ tau.T

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import xlogy
 
-from .similarity import SimilarityTensor
+from .similarity import SimilarityTensor, pair_indices
 
 GROUP_SMOOTHING = 1e-12
 LAMBDA_FLOOR = 1e-12
@@ -123,17 +123,6 @@ class FitState:
         return self.eta.shape[0]
 
 
-def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical (i, j) index arrays for the strictly lower triangle.
-
-    Pairs are ordered column-major by j: j=0 pairs first (i=1..n-1), then
-    j=1, and so on.  Every flattened pair vector in the package uses this
-    ordering.
-    """
-    jj, ii = np.triu_indices(n, k=1)
-    return ii, jj
-
-
 def row_softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, shifted by the row max for stability."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -190,23 +179,12 @@ class PairWorkspace(NamedTuple):
     jj: np.ndarray
     logit_flat: np.ndarray   # (V, npairs) log-odds of the similarities
     log1m_sum: np.ndarray    # (V,) sum over pairs of log(1 - s)
-    npairs: int
 
 
 def pair_workspace(S: SimilarityTensor) -> PairWorkspace:
-    """Flattened pair quantities for a similarity tensor, cached on S."""
-    cached = getattr(S, "_pair_cache", None)
-    if cached is not None:
-        return cached
-    n = S.n_items
-    ii, jj = pair_indices(n)
-    flat = S.matrices[:, ii, jj]
-    log1m = np.log1p(-flat)
-    logit_flat = np.log(flat)
-    logit_flat -= log1m
-    ws = PairWorkspace(ii, jj, logit_flat, log1m.sum(axis=1), ii.size)
-    S._pair_cache = ws
-    return ws
+    """The pair indices of S's items next to its condensed log-odds."""
+    ii, jj = pair_indices(S.n_items)
+    return PairWorkspace(ii, jj, S.logit, S.log1m_sum)
 
 
 def _coassignment_flat(logits: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -230,35 +208,19 @@ def view_divergences(logits: np.ndarray, S: SimilarityTensor) -> np.ndarray:
     return _entropy_part(pf)[None, :] - ws.logit_flat @ pf.T - ws.log1m_sum[:, None]
 
 
-def data_fit_loss(p_stars: np.ndarray, S: SimilarityTensor, eta: np.ndarray) -> float:
-    """Expected data-fit loss, the direct triple sum
-    sum_{v,l} eta_vl sum_{j<i} kl(p*_ij^(l), s_ij^(v))."""
-    p_stars = np.asarray(p_stars, dtype=float)
-    if p_stars.ndim == 2:
-        p_stars = p_stars[None, :, :]
-    ws = pair_workspace(S)
-    s_flat = S.matrices[:, ws.ii, ws.jj]
-    total = 0.0
-    for l in range(p_stars.shape[0]):
-        p_flat = p_stars[l, ws.ii, ws.jj]
-        kl = kl_bernoulli(p_flat[None, :], s_flat).sum(axis=1)
-        total += float(eta[:, l] @ kl)
-    return total
-
-
 class KappaGamma(NamedTuple):
     """Per-parameterization sufficient statistics of the M-step objective:
-    kappa (d, n, n) pair coefficients, gamma (d,) responsibility masses, and
-    the eta-independent constant C linking the refactored and direct forms."""
+    kappa (d, n, n) pair coefficients and gamma (d,) responsibility masses.
+    The data-fit loss is sum_l sum_{j<i} kappa_ij p*_ij
+    + gamma_l [p* logit(p*) + log(1 - p*)] plus the eta-independent constant
+    -sum_v sum_{j<i} log(1 - s^(v)) = -S.log1m_sum.sum()."""
 
     kappa: np.ndarray
     gamma: np.ndarray
-    constant: float
 
 
 def precompute_kappa_gamma(S: SimilarityTensor, eta: np.ndarray) -> KappaGamma:
-    """kappa^(l) = -sum_v eta_vl logit(s^(v)), gamma_l = sum_v eta_vl, and
-    C = -sum_v sum_{j<i} log(1 - s^(v)).
+    """kappa^(l) = -sum_v eta_vl logit(s^(v)) and gamma_l = sum_v eta_vl.
 
     Only the live entries (gamma_l > 0) get their kappa filled in; a dead
     entry's kappa is the zero matrix, which its all-zero eta column gives
@@ -274,29 +236,13 @@ def precompute_kappa_gamma(S: SimilarityTensor, eta: np.ndarray) -> KappaGamma:
     kappa = np.zeros((d, n, n))
     kappa[live[:, None], ws.ii, ws.jj] = kappa_flat
     kappa[live[:, None], ws.jj, ws.ii] = kappa_flat
-    return KappaGamma(kappa, gamma, float(-ws.log1m_sum.sum()))
-
-
-def refactored_data_loss(logits: np.ndarray, precomp: KappaGamma) -> float:
-    """Expected data-fit loss in kappa/gamma form (constant C dropped):
-    sum_l sum_{j<i} kappa_ij p*_ij + gamma_l [p* logit(p*) + log(1 - p*)]."""
-    n = logits.shape[1]
-    ii, jj = pair_indices(n)
-    pf = _coassignment_flat(logits, ii, jj)
-    kappa_flat = precomp.kappa[:, ii, jj]
-    return float((kappa_flat * pf).sum() + precomp.gamma @ _entropy_part(pf))
-
-
-def descent_objective(logits: np.ndarray, precomp: KappaGamma, epsilon: float, n_reg: float) -> float:
-    """The quantity the M-step descends: refactored data loss plus the
-    group penalties (the Dirichlet term is constant in the logits)."""
-    W = row_softmax(logits)
-    reg = sum(group_regularizer(W[l], epsilon) for l in range(W.shape[0]))
-    return refactored_data_loss(logits, precomp) + n_reg * reg
+    return KappaGamma(kappa, gamma)
 
 
 def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: float, n_reg: float) -> np.ndarray:
-    """Analytic gradient of descent_objective with respect to the logits.
+    """Analytic gradient, with respect to the logits, of the quantity the
+    M step descends: the kappa/gamma data loss plus n_reg times the group
+    penalties (the Dirichlet term is constant in the logits).
 
     Per pair the data derivative is kappa + gamma * logit(p*); chaining
     through P* = W W^T gives G W per parameterization, and the softmax rows
@@ -410,11 +356,6 @@ def eta_from_divergences(divergences: np.ndarray, lam: np.ndarray) -> np.ndarray
     eta[:, ~alive] = 0.0
     eta /= eta.sum(axis=1, keepdims=True)
     return eta
-
-
-def e_step(state: FitState, S: SimilarityTensor) -> np.ndarray:
-    """Responsibilities of every view for every parameterization."""
-    return eta_from_divergences(view_divergences(state.logits, S), state.lam)
 
 
 def reg_loss(state: FitState, S: SimilarityTensor) -> float:
@@ -546,8 +487,8 @@ def _merged_logits(logits: np.ndarray, k: int, targets: np.ndarray, epsilon: flo
 def _entry_loss(logits: np.ndarray, kappa_flat: np.ndarray, gamma: float,
                 ws: PairWorkspace, epsilon: float, n_reg: float) -> float:
     """One catalog entry's share of reg_loss, up to a constant in its logits:
-    the data term in kappa/gamma form (as in refactored_data_loss) plus the
-    entry's group penalty."""
+    the data term in kappa/gamma form (see KappaGamma) plus the entry's
+    group penalty."""
     pf = _coassignment_flat(logits[None], ws.ii, ws.jj)
     data = kappa_flat @ pf[0] + gamma * _entropy_part(pf)[0]
     return float(data) + n_reg * group_regularizer(row_softmax(logits), epsilon)

@@ -16,10 +16,6 @@ def param_assignments(eta: np.ndarray) -> np.ndarray:
     return eta.argmax(axis=1)
 
 
-def most_probable_param(eta: np.ndarray, view: int) -> int:
-    return int(eta[view].argmax())
-
-
 def pointwise_labels(weights: np.ndarray, epsilon: float | None = None) -> np.ndarray:
     """Row-wise argmax labels of one W (ties to the lowest column).
 
@@ -139,7 +135,8 @@ def consensus_matrix(state: FitState, estimates: list[ViewEstimate] | None = Non
 
     A view counts only if its parameterization clusters the items into more
     than one group (all-in-one-column W matrices carry no structure).  If no
-    view counts, the plain average is returned and flagged.
+    view counts, the plain average is returned and flagged.  Each view's
+    weighted p_hat is added in view order into one (n, n) accumulator.
     """
     if estimates is None:
         estimates = view_estimates(state, seed)
@@ -147,8 +144,10 @@ def consensus_matrix(state: FitState, estimates: list[ViewEstimate] | None = Non
     w3 = state.weights
     u = np.array([1.0 if structure_cluster_count(w3[est.x_hat], eps) > 1 else 0.0
                   for est in estimates])
-    stack = np.stack([est.p_hat for est in estimates])
-    if u.sum() > 0.0:
-        matrix = (u[:, None, None] * stack).sum(axis=0) / u.sum()
-        return ConsensusResult(matrix=matrix, weights=u, plain_average=False)
-    return ConsensusResult(matrix=stack.mean(axis=0), weights=u, plain_average=True)
+    plain = not u.any()
+    weights = np.ones_like(u) if plain else u
+    matrix = np.zeros_like(estimates[0].p_hat)
+    for w, est in zip(weights, estimates):
+        matrix += w * est.p_hat
+    matrix /= weights.sum()
+    return ConsensusResult(matrix=matrix, weights=u, plain_average=plain)

@@ -1,15 +1,17 @@
-"""Locally scaled similarity matrices, one per view.
+"""Locally scaled similarities, one set per view, kept in condensed form.
 
 A view's similarity is s_ij = exp(-||y_i - y_j|| / b_ij) with bandwidth
 b_ij = sqrt(sigma_i * sigma_j), where sigma_i is a low quantile of row i's
 off-diagonal distances.  Off-diagonal entries are clamped away from {0, 1}
-so every log-odds downstream is finite; the diagonal is unused by any loss
-and set to the upper clamp.
+so every log-odds downstream is finite.  similarity_matrix returns one
+view's dense (n, n) matrix, its diagonal set to the upper clamp; the model
+reads only the strictly lower triangle, so SimilarityTensor stores each
+view's log-odds over the n(n-1)/2 pairs of pair_indices and no dense matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,16 +38,19 @@ class ViewData:
 def pairwise_distances(view: ViewData) -> np.ndarray:
     """Euclidean distance matrix of a view.
 
-    Computed from explicit coordinate differences so the result is exactly
-    symmetric; rejects non-finite input naming the view and the row.
+    Each pair's distance is computed once and mirrored, so the result is
+    exactly symmetric; rejects non-finite input naming the view and the row.
     """
     y = view.values
     bad = ~np.isfinite(y)
     if bad.any():
         row = int(np.nonzero(bad.any(axis=1))[0][0])
         raise ValueError(f"view {view.view_id}: non-finite value in row {row}")
-    diff = y[:, None, :] - y[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    # imported here: scipy.spatial adds a quarter or more to the package's
+    # import time, and only commands that build similarities need it
+    from scipy.spatial.distance import pdist, squareform
+
+    return squareform(pdist(y))
 
 
 def local_bandwidths(dist: np.ndarray, q: float = DEFAULT_QUANTILE) -> np.ndarray:
@@ -89,27 +94,34 @@ def similarity_matrix(
     return s
 
 
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical (i, j) index arrays for the strictly lower triangle.
+
+    Pairs are ordered column-major by j: j=0 pairs first (i=1..n-1), then
+    j=1, and so on.  Every flattened pair vector in the package uses this
+    ordering.
+    """
+    jj, ii = np.triu_indices(n, k=1)
+    return ii, jj
+
+
 @dataclass
 class SimilarityTensor:
-    """Stacked per-view similarity matrices, shape (V, n, n), plus clamp bounds."""
+    """Every view's similarities in condensed form.
 
-    matrices: np.ndarray
+    logit is (V, n(n-1)/2): per view, log(s / (1 - s)) over the pairs in
+    pair_indices order, stored pair-major (Fortran order).  log1m_sum is
+    (V,): per view, the sum of log(1 - s) over the same pairs.
+    """
+
+    logit: np.ndarray
+    log1m_sum: np.ndarray
+    n_items: int
     clamp: tuple[float, float] = DEFAULT_CLAMP
-
-    def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=float)
-        if self.matrices.ndim == 2:
-            self.matrices = self.matrices[None, :, :]
-        if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
-            raise ValueError(f"matrices must have shape (V, n, n), got {self.matrices.shape}")
 
     @property
     def n_views(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def n_items(self) -> int:
-        return self.matrices.shape[1]
+        return self.logit.shape[0]
 
     @classmethod
     def from_views(
@@ -118,10 +130,20 @@ class SimilarityTensor:
         q: float = DEFAULT_QUANTILE,
         clamp: tuple[float, float] = DEFAULT_CLAMP,
     ) -> "SimilarityTensor":
+        """Build one view's dense similarities at a time and keep only its
+        pairs, so the peak holds two (V, npairs) arrays and no (V, n, n) one."""
         if len(views) == 0:
             raise ValueError("no views given")
         sizes = {v.values.shape[0] for v in views}
         if len(sizes) != 1:
             raise ValueError(f"views disagree on item count: {sorted(sizes)}")
-        mats = np.stack([similarity_matrix(v, q, clamp) for v in views])
-        return cls(mats, clamp)
+        n = sizes.pop()
+        ii, jj = pair_indices(n)
+        logit = np.empty((len(views), ii.size), order="F")
+        for k, view in enumerate(views):
+            logit[k] = similarity_matrix(view, q, clamp)[ii, jj]
+        log1m = np.negative(logit)
+        np.log1p(log1m, out=log1m)
+        np.log(logit, out=logit)
+        logit -= log1m
+        return cls(logit, log1m.sum(axis=1), n, clamp)

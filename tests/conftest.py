@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 
 from mvsimplex.model import ModelConfig, fit
-from mvsimplex.similarity import SimilarityTensor, ViewData
+from mvsimplex.similarity import SimilarityTensor, ViewData, similarity_matrix
+
+
+def make_views(seed: int, n_views: int = 3, n: int = 15, p: int = 2) -> list[ViewData]:
+    """Random-data views for algebra tests."""
+    rng = np.random.default_rng(seed)
+    return [ViewData(rng.normal(size=(n, p)), view_id=v + 1) for v in range(n_views)]
 
 
 def make_tensor(seed: int, n_views: int = 3, n: int = 15, p: int = 2) -> SimilarityTensor:
-    """Random-data similarity tensor for algebra tests."""
-    rng = np.random.default_rng(seed)
-    views = [ViewData(rng.normal(size=(n, p)), view_id=v + 1) for v in range(n_views)]
-    return SimilarityTensor.from_views(views)
+    """Similarity tensor of make_views(seed, n_views, n, p)."""
+    return SimilarityTensor.from_views(make_views(seed, n_views, n, p))
+
+
+def make_dense(seed: int, n_views: int = 3, n: int = 15, p: int = 2) -> np.ndarray:
+    """Dense (V, n, n) similarities of the same views as make_tensor."""
+    return np.stack([similarity_matrix(v) for v in make_views(seed, n_views, n, p)])
 
 
 def make_blobs(seed: int, n_per: int = 20, centers=((0.0, 0.0), (8.0, 8.0))):

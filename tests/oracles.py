@@ -11,6 +11,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -473,7 +474,7 @@ def consensus_oracle_nmi(views, truth, n_groups: int = 3, seed=0) -> float:
     views 1 and 2 under their generating mixtures; it is labelled by the
     same spectral rule that labels a fitted consensus matrix.
     """
-    from mvsimplex.metrics import nmi, oracle_coassignment
+    from mvsimplex.metrics import nmi
     from mvsimplex.postprocess import spectral_labels
 
     def gauss(mean):
@@ -484,3 +485,136 @@ def consensus_oracle_nmi(views, truth, n_groups: int = 3, seed=0) -> float:
         for view, (means, weights) in zip(views, CONSENSUS_VIEW_MIXTURES)
     ]
     return nmi(spectral_labels(np.mean(mats, axis=0), n_groups, seed), truth)
+
+
+def data_fit_loss(p_stars, s_matrices, eta) -> float:
+    """Expected data-fit loss, the direct triple sum
+    sum_{v,l} eta_vl sum_{j<i} kl(p*_ij^(l), s_ij^(v)), on dense (d, n, n)
+    co-assignments and dense (V, n, n) similarities."""
+    from mvsimplex.model import kl_bernoulli
+    from mvsimplex.similarity import pair_indices
+
+    p_stars = np.asarray(p_stars, dtype=float)
+    if p_stars.ndim == 2:
+        p_stars = p_stars[None, :, :]
+    ii, jj = pair_indices(p_stars.shape[1])
+    s_flat = np.asarray(s_matrices, dtype=float)[:, ii, jj]
+    total = 0.0
+    for l in range(p_stars.shape[0]):
+        p_flat = p_stars[l, ii, jj]
+        kl = kl_bernoulli(p_flat[None, :], s_flat).sum(axis=1)
+        total += float(eta[:, l] @ kl)
+    return total
+
+
+def refactored_data_loss(logits, precomp) -> float:
+    """Expected data-fit loss in kappa/gamma form (the constant
+    -sum log(1 - s) dropped):
+    sum_l sum_{j<i} kappa_ij p*_ij + gamma_l [p* logit(p*) + log(1 - p*)]."""
+    from mvsimplex.model import _coassignment_flat, _entropy_part
+    from mvsimplex.similarity import pair_indices
+
+    ii, jj = pair_indices(logits.shape[1])
+    pf = _coassignment_flat(logits, ii, jj)
+    kappa_flat = precomp.kappa[:, ii, jj]
+    return float((kappa_flat * pf).sum() + precomp.gamma @ _entropy_part(pf))
+
+
+def descent_objective(logits, precomp, epsilon: float, n_reg: float) -> float:
+    """The quantity the M-step descends: refactored data loss plus the
+    group penalties (the Dirichlet term is constant in the logits)."""
+    from mvsimplex.model import group_regularizer, row_softmax
+
+    W = row_softmax(logits)
+    reg = sum(group_regularizer(W[l], epsilon) for l in range(W.shape[0]))
+    return refactored_data_loss(logits, precomp) + n_reg * reg
+
+
+def consensus_reference(p_hats, u):
+    """The consensus average over a (V, n, n) stack: u-weighted when any
+    u_v is nonzero, the plain mean otherwise."""
+    stack = np.stack(p_hats)
+    if u.sum() > 0.0:
+        return (u[:, None, None] * stack).sum(axis=0) / u.sum()
+    return stack.mean(axis=0)
+
+
+def _gauss_logpdf(mean: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def logpdf(y):
+        diff = y - mean[None, :]
+        return -np.log(2.0 * np.pi) - 0.5 * (diff * diff).sum(axis=1)
+    return logpdf
+
+
+def _shifted_exp_logpdf(rates: np.ndarray, shifts: np.ndarray, signs: np.ndarray):
+    """Componentwise density of sign * Exp(rate) + shift."""
+    def logpdf(y):
+        t = (y - shifts[None, :]) * signs[None, :]
+        ok = (t >= 0.0).all(axis=1)
+        val = (np.log(rates)[None, :] - rates[None, :] * t).sum(axis=1)
+        return np.where(ok, val, -np.inf)
+    return logpdf
+
+
+def _cauchy_logpdf(shift: float) -> Callable[[np.ndarray], np.ndarray]:
+    def logpdf(y):
+        t = y - shift
+        return -(np.log(np.pi) + np.log1p(t * t)).sum(axis=1)
+    return logpdf
+
+
+def mixture_log_densities(setting: str):
+    """(log_densities, weights) of a setting's generating mixture, for the
+    oracle co-assignment matrix."""
+    ones = np.ones(2)
+    if setting == "a":
+        comps = [_gauss_logpdf(np.zeros(2)), _gauss_logpdf(np.full(2, 10.0))]
+    elif setting == "b":
+        comps = [_gauss_logpdf(np.zeros(2)), _gauss_logpdf(np.full(2, 3.0))]
+    elif setting == "c":
+        comps = [_gauss_logpdf(np.zeros(2)), _gauss_logpdf(np.full(2, 2.0))]
+    elif setting == "d":
+        comps = [
+            _shifted_exp_logpdf(ones, np.full(2, -4.0), ones),
+            _shifted_exp_logpdf(ones, np.zeros(2), -ones),
+        ]
+    elif setting == "e":
+        rates = np.array([1.0, 10.0])
+        comps = [
+            _shifted_exp_logpdf(rates, np.zeros(2), ones),
+            _shifted_exp_logpdf(rates, np.array([2.0, 15.0]), ones),
+        ]
+    elif setting == "f":
+        comps = [_cauchy_logpdf(0.0), _cauchy_logpdf(3.0)]
+    else:
+        raise ValueError(f"unknown setting {setting!r}")
+    return comps, np.array([0.5, 0.5])
+
+
+def oracle_coassignment(
+    points: np.ndarray,
+    log_densities: Sequence[Callable[[np.ndarray], np.ndarray]],
+    weights: Sequence[float],
+) -> np.ndarray:
+    """Ground-truth co-assignment probabilities under a known mixture.
+
+    p_ij = sum_k tau_k(y_i) tau_k(y_j) with tau_k the posterior component
+    probability pi_k f_k(y) / sum_m pi_m f_m(y).  log_densities maps an
+    (n, p) array to n per-item log densities; -inf marks points outside a
+    component's support.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    weights = np.asarray(weights, dtype=float)
+    if len(log_densities) != weights.size:
+        raise ValueError("one weight per component required")
+    if np.any(weights <= 0) or not np.isclose(weights.sum(), 1.0):
+        raise ValueError("component weights must be positive and sum to 1")
+    logpost = np.stack([np.log(w) + f(points) for w, f in zip(weights, log_densities)], axis=1)
+    top = logpost.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        raise ValueError("a point has zero density under every component")
+    tau = np.exp(logpost - top)
+    tau /= tau.sum(axis=1, keepdims=True)
+    return tau @ tau.T

@@ -7,12 +7,12 @@ from mvsimplex.datagen import (
     DEFAULT_PATTERN_MEANS,
     SINGLE_VIEW_SETTINGS,
     consensus_views,
-    mixture_log_densities,
     multi_view,
     screen_columns,
     single_view,
 )
 from mvsimplex.similarity import ViewData
+from oracles import mixture_log_densities
 
 
 class TestSingleView:

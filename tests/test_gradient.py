@@ -1,14 +1,13 @@
 import numpy as np
 
 from mvsimplex.model import (
-    descent_objective,
     expected_loss_gradient,
     pair_workspace,
     precompute_kappa_gamma,
     row_softmax,
 )
 from conftest import make_tensor
-from oracles import expected_loss_gradient_reference, numeric_gradient
+from oracles import descent_objective, expected_loss_gradient_reference, numeric_gradient
 
 FD_STEP = 1e-5
 REL_TOL = 1e-5

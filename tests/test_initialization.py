@@ -8,16 +8,16 @@ from mvsimplex.initialization import (
     log_odds_features,
 )
 from mvsimplex.metrics import nmi
-from mvsimplex.model import ModelConfig, pair_indices, reg_loss
-from mvsimplex.similarity import SimilarityTensor, ViewData
-from conftest import make_blobs, make_tensor
+from mvsimplex.model import ModelConfig, reg_loss
+from mvsimplex.similarity import SimilarityTensor, ViewData, pair_indices
+from conftest import make_blobs, make_dense, make_tensor
 
 
 def test_log_odds_features_values_and_order():
     S = make_tensor(0, n_views=2, n=6)
     feats = log_odds_features(S)
     ii, jj = pair_indices(6)
-    s = S.matrices[:, ii, jj]
+    s = make_dense(0, n_views=2, n=6)[:, ii, jj]
     np.testing.assert_allclose(feats, np.log(s) - np.log1p(-s), rtol=1e-12)
     assert feats.shape == (2, 15)
 

@@ -5,20 +5,18 @@ from mvsimplex.model import (
     KappaGamma,
     ModelConfig,
     coassignment_matrix,
-    data_fit_loss,
     dirichlet_penalty,
     eta_from_divergences,
     group_regularizer,
     kl_bernoulli,
     lambda_mode_update,
-    pair_indices,
     precompute_kappa_gamma,
-    refactored_data_loss,
     row_softmax,
     view_divergences,
 )
-from conftest import make_tensor
-from oracles import kl_bernoulli_reference
+from mvsimplex.similarity import pair_indices
+from conftest import make_dense, make_tensor
+from oracles import data_fit_loss, kl_bernoulli_reference, refactored_data_loss
 
 
 def test_pair_indices_canonical_order():
@@ -111,6 +109,7 @@ def test_dirichlet_penalty():
 
 def test_view_divergences_match_direct_pair_sums():
     S = make_tensor(1, n_views=3, n=12)
+    s = make_dense(1, n_views=3, n=12)
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(2, 12, 3))
     D = view_divergences(logits, S)
@@ -119,7 +118,7 @@ def test_view_divergences_match_direct_pair_sums():
     for v in range(3):
         for l in range(2):
             P = np.clip(W[l] @ W[l].T, 1e-300, 1 - 1e-12)
-            direct = kl_bernoulli(P[ii, jj], S.matrices[v][ii, jj]).sum()
+            direct = kl_bernoulli(P[ii, jj], s[v][ii, jj]).sum()
             assert D[v, l] == pytest.approx(direct, rel=1e-12)
 
 
@@ -127,7 +126,7 @@ def test_kappa_gamma_single_view_unit_eta():
     S = make_tensor(3, n_views=1, n=8)
     eta = np.ones((1, 1))
     pc = precompute_kappa_gamma(S, eta)
-    s = S.matrices[0]
+    s = make_dense(3, n_views=1, n=8)[0]
     expected = -(np.log(s) - np.log1p(-s))
     ii, jj = pair_indices(8)
     np.testing.assert_allclose(pc.kappa[0][ii, jj], expected[ii, jj], rtol=1e-12)
@@ -148,8 +147,8 @@ def test_refactored_loss_equals_direct_up_to_constant():
         pc = precompute_kappa_gamma(S, eta)
         W = row_softmax(logits)
         p_stars = np.clip(np.einsum("lik,ljk->lij", W, W), 1e-300, 1 - 1e-12)
-        direct = data_fit_loss(p_stars, S, eta)
-        refact = refactored_data_loss(logits, pc) + pc.constant
+        direct = data_fit_loss(p_stars, make_dense(seed + 100, n_views=n_views, n=n), eta)
+        refact = refactored_data_loss(logits, pc) - S.log1m_sum.sum()
         assert abs(direct - refact) <= 1e-10 * max(1.0, abs(direct))
 
 

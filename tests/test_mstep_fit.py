@@ -6,8 +6,7 @@ from mvsimplex.metrics import nmi
 from mvsimplex.model import (
     FitState,
     ModelConfig,
-    descent_objective,
-    e_step,
+    eta_from_divergences,
     fit,
     load_fit_state,
     m_step,
@@ -18,8 +17,13 @@ from mvsimplex.model import (
 )
 from mvsimplex.postprocess import view_estimates
 from mvsimplex.similarity import SimilarityTensor, ViewData
-from conftest import make_blobs, make_tensor
-from oracles import adam_descend_reference, expected_loss_gradient_reference, reg_loss_reference
+from conftest import make_blobs, make_dense, make_tensor
+from oracles import (
+    adam_descend_reference,
+    descent_objective,
+    expected_loss_gradient_reference,
+    reg_loss_reference,
+)
 
 
 def _manual_state(seed, n_views=2, n=12, d=2, g=3):
@@ -37,7 +41,7 @@ def test_reg_loss_matches_triple_loop_reference():
     S, state = _manual_state(0)
     got = reg_loss(state, S)
     expected = reg_loss_reference(
-        state.weights, state.lam, state.eta, S.matrices,
+        state.weights, state.lam, state.eta, make_dense(50, n_views=2, n=12),
         epsilon=state.config.epsilon,
         n_reg=state.config.reg_multiplier(S.n_items),
         alpha=state.config.alpha,
@@ -68,7 +72,7 @@ def test_m_step_can_freeze_lambda():
 def test_e_step_single_parameterization_is_trivial():
     S, state = _manual_state(3, d=1, g=2)
     state.lam = np.array([1.0])
-    eta = e_step(state, S)
+    eta = eta_from_divergences(view_divergences(state.logits, S), state.lam)
     np.testing.assert_array_equal(eta, np.ones((2, 1)))
 
 

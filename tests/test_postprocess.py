@@ -10,7 +10,6 @@ from mvsimplex.postprocess import (
     ConsensusResult,
     consensus_matrix,
     effective_counts,
-    most_probable_param,
     param_assignments,
     pointwise_labels,
     spectral_labels,
@@ -18,6 +17,7 @@ from mvsimplex.postprocess import (
     view_estimates,
 )
 from mvsimplex.similarity import SimilarityTensor, ViewData
+from oracles import consensus_reference
 
 
 def logits_for(weights):
@@ -48,8 +48,8 @@ class TestParamAssignments:
 
     def test_most_probable_param_matches(self):
         eta = np.array([[0.2, 0.8], [0.9, 0.1]])
-        assert most_probable_param(eta, 0) == 1
-        assert most_probable_param(eta, 1) == 0
+        assert param_assignments(eta)[0] == 1
+        assert param_assignments(eta)[1] == 0
 
 
 class TestPointwiseLabels:
@@ -215,6 +215,27 @@ class TestConsensus:
         assert res.weights.tolist() == [0.0, 0.0]
         stack = [coassignment_matrix(st.weights[0]), coassignment_matrix(st.weights[1])]
         np.testing.assert_allclose(res.matrix, np.mean(stack, axis=0))
+
+    def test_matches_stack_formulas_bitwise(self):
+        # mixed structure flags, then none: adding view by view must give
+        # the bits of the weighted sum and of the mean over a (V, n, n) stack
+        n, g, d, n_views = 9, 3, 4, 12
+        flat = np.full((n, g), 1e-5)
+        flat[:, 0] = 1.0 - (g - 1) * 1e-5
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for n_structured in (2, 0):
+                weights = [rng.dirichlet(np.ones(g), size=n) for _ in range(n_structured)]
+                weights += [flat] * (d - n_structured)
+                st = state_from_weights(weights, rng.dirichlet(np.ones(d), size=n_views))
+                ests = view_estimates(st, seed=0)
+                res = consensus_matrix(st, ests)
+                if n_structured:
+                    assert 0.0 < res.weights.sum() < n_views
+                else:
+                    assert res.plain_average
+                want = consensus_reference([est.p_hat for est in ests], res.weights)
+                assert np.array_equal(res.matrix, want)
 
     def test_consensus_is_convex_combination(self):
         st = self.make_state()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,11 +100,14 @@ def test_similarity_unit_distance_gives_exp_minus_one():
 
 def test_similarity_matches_scalar_reference():
     rng = np.random.default_rng(11)
-    pts = rng.normal(size=(12, 2))
-    expected = np.clip(similarity_reference(pts, 0.1), *DEFAULT_CLAMP)
-    np.fill_diagonal(expected, DEFAULT_CLAMP[1])
-    got = similarity_matrix(ViewData(pts))
-    np.testing.assert_allclose(got, expected, rtol=1e-12)
+    # p = 9 is wide enough for the order of the per-coordinate additions
+    # in a distance to matter
+    for p in (2, 9):
+        pts = rng.normal(size=(12, p))
+        expected = np.clip(similarity_reference(pts, 0.1), *DEFAULT_CLAMP)
+        np.fill_diagonal(expected, DEFAULT_CLAMP[1])
+        got = similarity_matrix(ViewData(pts))
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_similarity_three_point_hand_case():
@@ -154,8 +159,20 @@ def test_tensor_from_views_checks_item_counts():
         SimilarityTensor.from_views([])
 
 
-def test_tensor_promotes_single_matrix():
-    s = similarity_matrix(ViewData(np.arange(4.0)))
-    tensor = SimilarityTensor(s)
-    assert tensor.matrices.shape == (1, 4, 4)
-    assert tensor.n_views == 1 and tensor.n_items == 4
+def test_tensor_build_memory_stays_condensed():
+    # V = 200 views of n = 100 items: the (V, n(n-1)/2) log-odds and one
+    # temporary of that size fit the bound; a dense (V, n, n) stack does not
+    rng = np.random.default_rng(0)
+    n_views, n = 200, 100
+    views = [ViewData(rng.normal(size=(n, 2)), view_id=v + 1) for v in range(n_views)]
+    tracemalloc.start()
+    try:
+        S = SimilarityTensor.from_views(views)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    npairs = n * (n - 1) // 2
+    assert S.logit.shape == (n_views, npairs) and S.log1m_sum.shape == (n_views,)
+    assert S.n_views == n_views and S.n_items == n
+    assert peak < 3 * n_views * npairs * 8
+
