@@ -21,7 +21,7 @@ from .model import (
     precompute_kappa_gamma,
     reg_loss,
 )
-from .similarity import SimilarityTensor
+from .similarity import SimilarityTensor, pair_blocks, pair_row_sums
 
 KMEANS_MAX_ITERS = 100
 KMEANS_REL_TOL = 1e-6
@@ -61,6 +61,10 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
     resulting potential.  Deterministic given the seed.  Ties in
     assignment go to the lowest center index; a cluster that empties is
     re-seeded at the point farthest from its assigned center.
+
+    Row norms and cluster means are taken a block of columns at a time,
+    in numpy's summation order, so no temporary as large as points is
+    made.
     """
     points = np.asarray(points, dtype=float)
     m = points.shape[0]
@@ -71,7 +75,7 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
     rng = _as_rng(seed)
     n_trials = 2 + int(np.log(k))
 
-    sq_norms = (points * points).sum(axis=1)
+    sq_norms = pair_row_sums(points, lambda x, out: np.multiply(x, x, out=out))
     chosen = [int(rng.integers(m))]
     min_d2 = _sq_dists_to(points, sq_norms, chosen[0])
     for _ in range(1, k):
@@ -95,7 +99,7 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
     labels = np.zeros(m, dtype=int)
     prev_obj = np.inf
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = sq_norms[:, None] - 2.0 * points @ centers.T + (centers * centers).sum(axis=1)[None, :]
+        d2 = sq_norms[:, None] - 2.0 * (points @ centers.T) + (centers * centers).sum(axis=1)[None, :]
         np.maximum(d2, 0.0, out=d2)
         labels = d2.argmin(axis=1)
         assign_d2 = d2[np.arange(m), labels]
@@ -108,7 +112,8 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
         for c in range(k):
             mask = labels == c
             if mask.any():
-                centers[c] = points[mask].mean(axis=0)
+                for cols in pair_blocks(m, points.shape[1]):
+                    centers[c, cols] = points[mask, cols].mean(axis=0)
         if prev_obj - obj <= KMEANS_REL_TOL * max(abs(prev_obj), 1.0):
             break
         prev_obj = obj

@@ -189,7 +189,8 @@ def pair_workspace(S: SimilarityTensor) -> PairWorkspace:
 
 def _coassignment_flat(logits: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     W = row_softmax(logits)
-    P = np.clip(W @ W.transpose(0, 2, 1), _P_LO, _P_HI)
+    P = W @ W.transpose(0, 2, 1)
+    np.clip(P, _P_LO, _P_HI, out=P)
     return P[:, ii, jj]
 
 
@@ -210,33 +211,36 @@ def view_divergences(logits: np.ndarray, S: SimilarityTensor) -> np.ndarray:
 
 class KappaGamma(NamedTuple):
     """Per-parameterization sufficient statistics of the M-step objective:
-    kappa (d, n, n) pair coefficients and gamma (d,) responsibility masses.
+    gamma (d,) responsibility masses, live the indices of the entries with
+    gamma_l > 0, and kappa (live.size, n, n) their pair coefficients,
+    kappa[r] for entry live[r], symmetric with a zero diagonal.  A dead
+    entry's kappa is zero and is not stored.
     The data-fit loss is sum_l sum_{j<i} kappa_ij p*_ij
     + gamma_l [p* logit(p*) + log(1 - p*)] plus the eta-independent constant
     -sum_v sum_{j<i} log(1 - s^(v)) = -S.log1m_sum.sum()."""
 
     kappa: np.ndarray
     gamma: np.ndarray
+    live: np.ndarray
 
 
 def precompute_kappa_gamma(S: SimilarityTensor, eta: np.ndarray) -> KappaGamma:
     """kappa^(l) = -sum_v eta_vl logit(s^(v)) and gamma_l = sum_v eta_vl.
 
-    Only the live entries (gamma_l > 0) get their kappa filled in; a dead
-    entry's kappa is the zero matrix, which its all-zero eta column gives
-    anyway.  The product over views still covers the whole catalog: over
-    the live rows alone it has another shape, for which BLAS may pick
-    another kernel and change the last bits."""
+    kappa is built for the live entries (gamma_l > 0) only; a dead entry's
+    kappa is the zero matrix, which its all-zero eta column gives anyway.
+    The product over views still covers the whole catalog: over the live
+    rows alone it has another shape, for which BLAS may pick another
+    kernel and change the last bits."""
     ws = pair_workspace(S)
     n = S.n_items
-    d = eta.shape[1]
     gamma = eta.sum(axis=0)
     live = np.nonzero(gamma > 0.0)[0]
     kappa_flat = -(eta.T @ ws.logit_flat)[live]
-    kappa = np.zeros((d, n, n))
-    kappa[live[:, None], ws.ii, ws.jj] = kappa_flat
-    kappa[live[:, None], ws.jj, ws.ii] = kappa_flat
-    return KappaGamma(kappa, gamma)
+    kappa = np.zeros((live.size, n, n))
+    kappa[:, ws.ii, ws.jj] = kappa_flat
+    kappa[:, ws.jj, ws.ii] = kappa_flat
+    return KappaGamma(kappa, gamma, live)
 
 
 def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: float, n_reg: float) -> np.ndarray:
@@ -259,7 +263,7 @@ def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: flo
     col_norm = np.sqrt(GROUP_SMOOTHING + (h * h).sum(axis=1, keepdims=True))
     grad_w = np.multiply(n_reg, h, out=h)
     grad_w /= W * col_norm
-    live = np.nonzero(precomp.gamma > 0.0)[0]
+    live = precomp.live
     W_live = W[live]
     P = np.matmul(W_live, W_live.transpose(0, 2, 1))
     np.clip(P, _P_LO, _P_HI, out=P)
@@ -267,7 +271,7 @@ def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: flo
     np.negative(P, out=P)
     G -= np.log1p(P, out=P)
     G *= precomp.gamma[live, None, None]
-    G += precomp.kappa[live]
+    G += precomp.kappa
     idx = np.arange(W.shape[1])
     G[:, idx, idx] = 0.0
     grad_w[live] += G @ W_live

@@ -12,12 +12,13 @@ view's log-odds over the n(n-1)/2 pairs of pair_indices and no dense matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_QUANTILE = 0.1
 DEFAULT_CLAMP = (1e-6, 1.0 - 1e-6)
+PAIR_BLOCK_VALUES = 1 << 17   # values in one block of pair_blocks: 1 MB of float64
 
 
 @dataclass
@@ -105,6 +106,59 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
+def pair_blocks(n_rows: int, n_cols: int) -> Iterator[slice]:
+    """Column slices that cover range(n_cols) in order, each about
+    PAIR_BLOCK_VALUES / n_rows columns wide.
+
+    No slice is one column wide unless n_cols is 1.  numpy sums a 2-d
+    array along an axis in order when the other axis has two or more
+    entries, and pairwise when it has one, so a one-column tail would sum
+    its rows in another order than the whole array does."""
+    width = max(2, PAIR_BLOCK_VALUES // n_rows)
+    start = 0
+    while start < n_cols:
+        stop = start + width
+        if stop >= n_cols - 1:
+            stop = n_cols
+        yield slice(start, stop)
+        start = stop
+
+
+def pair_row_sums(x: np.ndarray, fill: Callable[[np.ndarray, np.ndarray], None]) -> np.ndarray:
+    """The bits of f(x).sum(axis=1) for an elementwise f, without an f(x)
+    as large as x: fill(x_block, out) writes f of a block of x's columns
+    into out.
+
+    numpy adds the columns of a column-major x with two or more rows one
+    by one.  Here each block of pair_blocks sums from the running total,
+    put in its column 0, so the result has the same bits (but an all -0.0
+    row sums to +0.0).  numpy sums a single row, or another layout, along
+    each row pairwise, so such an x is filled and summed in one piece."""
+    m, p = x.shape
+    if m == 1 or not x.flags.f_contiguous:
+        fx = np.empty_like(x)
+        fill(x, fx)
+        return fx.sum(axis=1)
+    blocks = list(pair_blocks(m, p))
+    buf = np.empty((m, 1 + max(cols.stop - cols.start for cols in blocks)), order="F")
+    total = np.zeros(m)
+    for cols in blocks:
+        block = buf[:, : cols.stop - cols.start + 1]
+        block[:, 0] = total
+        fill(x[:, cols], block[:, 1:])
+        total = block.sum(axis=1)
+    return total
+
+
+def _to_log_odds(s: np.ndarray, log1m: np.ndarray) -> None:
+    """Turn the similarities s into log(s / (1 - s)) in place and write
+    log(1 - s) into log1m."""
+    np.negative(s, out=log1m)
+    np.log1p(log1m, out=log1m)
+    np.log(s, out=s)
+    s -= log1m
+
+
 @dataclass
 class SimilarityTensor:
     """Every view's similarities in condensed form.
@@ -131,7 +185,8 @@ class SimilarityTensor:
         clamp: tuple[float, float] = DEFAULT_CLAMP,
     ) -> "SimilarityTensor":
         """Build one view's dense similarities at a time and keep only its
-        pairs, so the peak holds two (V, npairs) arrays and no (V, n, n) one."""
+        pairs, then turn them into log-odds a block of pairs at a time, so
+        the peak holds one (V, npairs) array and no (V, n, n) one."""
         if len(views) == 0:
             raise ValueError("no views given")
         sizes = {v.values.shape[0] for v in views}
@@ -142,8 +197,4 @@ class SimilarityTensor:
         logit = np.empty((len(views), ii.size), order="F")
         for k, view in enumerate(views):
             logit[k] = similarity_matrix(view, q, clamp)[ii, jj]
-        log1m = np.negative(logit)
-        np.log1p(log1m, out=log1m)
-        np.log(logit, out=logit)
-        logit -= log1m
-        return cls(logit, log1m.sum(axis=1), n, clamp)
+        return cls(logit, pair_row_sums(logit, _to_log_odds), n, clamp)

@@ -405,6 +405,74 @@ def numeric_gradient(func, x, step: float = 1e-5):
     return grad
 
 
+def kmeans_pp_reference(points, k: int, seed):
+    """K-means++ with the whole-array formulas: row norms from
+    points * points, Lloyd distances from (2 * points) @ centers.T, and
+    cluster means over each cluster's rows at once.  The library takes the
+    norms and means a block of columns at a time, which must not move a
+    bit of the labels, centers or inertia."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    points = np.asarray(points, dtype=float)
+    m = points.shape[0]
+    n_trials = 2 + int(np.log(k))
+
+    def sq_dists_to(idx):
+        d2 = sq_norms - 2.0 * (points @ points[idx]) + sq_norms[idx]
+        return np.maximum(d2, 0.0, out=d2)
+
+    sq_norms = (points * points).sum(axis=1)
+    chosen = [int(rng.integers(m))]
+    min_d2 = sq_dists_to(chosen[0])
+    for _ in range(1, k):
+        total = min_d2.sum()
+        if total > 0.0:
+            probs = np.maximum(min_d2, 0.0) / total
+            probs /= probs.sum()
+            candidates = rng.choice(m, size=n_trials, p=probs)
+        else:
+            candidates = rng.integers(m, size=n_trials)
+        best_pot, best_idx, best_min = np.inf, int(candidates[0]), None
+        for idx in candidates:
+            cand_min = np.minimum(min_d2, sq_dists_to(int(idx)))
+            pot = cand_min.sum()
+            if pot < best_pot:
+                best_pot, best_idx, best_min = pot, int(idx), cand_min
+        chosen.append(best_idx)
+        min_d2 = best_min
+    centers = points[chosen].copy()
+
+    labels = np.zeros(m, dtype=int)
+    prev_obj = np.inf
+    for _ in range(100):
+        d2 = sq_norms[:, None] - 2.0 * points @ centers.T + (centers * centers).sum(axis=1)[None, :]
+        np.maximum(d2, 0.0, out=d2)
+        labels = d2.argmin(axis=1)
+        assign_d2 = d2[np.arange(m), labels]
+        for empty in np.nonzero(np.bincount(labels, minlength=k) == 0)[0]:
+            far = int(assign_d2.argmax())
+            centers[empty] = points[far]
+            labels[far] = empty
+            assign_d2[far] = 0.0
+        obj = float(assign_d2.sum())
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                centers[c] = points[mask].mean(axis=0)
+        if prev_obj - obj <= 1e-6 * max(abs(prev_obj), 1.0):
+            break
+        prev_obj = obj
+    return labels, centers, obj
+
+
+def full_kappa(precomp) -> np.ndarray:
+    """The (d, n, n) kappa of every catalog entry: KappaGamma stores the
+    live entries' alone, and a dead entry's is the zero matrix."""
+    d = precomp.gamma.size
+    kappa = np.zeros((d,) + precomp.kappa.shape[1:])
+    kappa[precomp.live] = precomp.kappa
+    return kappa
+
+
 def expected_loss_gradient_reference(logits, precomp, epsilon, n_reg):
     """The descent gradient with the data term G W computed for every
     catalog entry, dead ones included.  The library skips the entries with
@@ -413,7 +481,7 @@ def expected_loss_gradient_reference(logits, precomp, epsilon, n_reg):
 
     W = row_softmax(logits)
     P = np.clip(W @ W.transpose(0, 2, 1), _P_LO, _P_HI)
-    G = precomp.kappa + precomp.gamma[:, None, None] * (np.log(P) - np.log1p(-P))
+    G = full_kappa(precomp) + precomp.gamma[:, None, None] * (np.log(P) - np.log1p(-P))
     idx = np.arange(W.shape[1])
     G[:, idx, idx] = 0.0
     grad_w = G @ W
@@ -516,7 +584,7 @@ def refactored_data_loss(logits, precomp) -> float:
 
     ii, jj = pair_indices(logits.shape[1])
     pf = _coassignment_flat(logits, ii, jj)
-    kappa_flat = precomp.kappa[:, ii, jj]
+    kappa_flat = full_kappa(precomp)[:, ii, jj]
     return float((kappa_flat * pf).sum() + precomp.gamma @ _entropy_part(pf))
 
 

@@ -7,7 +7,12 @@ from mvsimplex.model import (
     row_softmax,
 )
 from conftest import make_tensor
-from oracles import descent_objective, expected_loss_gradient_reference, numeric_gradient
+from oracles import (
+    descent_objective,
+    expected_loss_gradient_reference,
+    full_kappa,
+    numeric_gradient,
+)
 
 FD_STEP = 1e-5
 REL_TOL = 1e-5
@@ -106,6 +111,10 @@ def test_kappa_fills_live_entries_only():
         pc = precompute_kappa_gamma(S, eta)
         full = -(eta.T @ ws.logit_flat)
         live = eta.sum(axis=0) > 0.0
-        assert np.array_equal(pc.kappa[live][:, ws.ii, ws.jj], full[live])
-        assert np.array_equal(pc.kappa[live][:, ws.jj, ws.ii], full[live])
-        assert np.all(pc.kappa[~live] == 0.0)
+        assert np.array_equal(pc.live, np.nonzero(live)[0])
+        assert pc.kappa.shape == (live.sum(), n, n)
+        assert np.array_equal(pc.kappa[:, ws.ii, ws.jj], full[live])
+        assert np.array_equal(pc.kappa[:, ws.jj, ws.ii], full[live])
+        assert np.all(pc.kappa[:, np.arange(n), np.arange(n)] == 0.0)
+        # a dead entry's kappa is not stored; the full catalog's is zero
+        assert np.all(full_kappa(pc)[~live] == 0.0)

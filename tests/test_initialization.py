@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mvsimplex import similarity
 from mvsimplex.initialization import (
     init_assignment,
     initialize,
@@ -11,6 +14,7 @@ from mvsimplex.metrics import nmi
 from mvsimplex.model import ModelConfig, reg_loss
 from mvsimplex.similarity import SimilarityTensor, ViewData, pair_indices
 from conftest import make_blobs, make_dense, make_tensor
+from oracles import kmeans_pp_reference
 
 
 def test_log_odds_features_values_and_order():
@@ -57,6 +61,39 @@ def test_kmeans_duplicate_points_all_identical_seeding():
     pts = np.ones((8, 3))
     result = kmeans_pp(pts, 2, seed=0)
     assert result.inertia == pytest.approx(0.0, abs=1e-20)
+
+
+@pytest.mark.parametrize("block_values", [None, 50, 64])
+def test_kmeans_matches_whole_array_reference_bitwise(monkeypatch, block_values):
+    # block_values 50 and 64 split the log-odds features' 45 pair columns
+    # into blocks of 10 (one block of 15 absorbs a one-column tail) and of
+    # 12 (a short last block); None keeps the full-size blocks
+    if block_values is not None:
+        monkeypatch.setattr(similarity, "PAIR_BLOCK_VALUES", block_values)
+    feats = log_odds_features(make_tensor(12, n_views=5, n=10))
+    blobs, _ = make_blobs(13, n_per=15, centers=((0.0, 0.0, 0.0), (6.0, 6.0, 0.0), (0.0, 6.0, 6.0)))
+    cases = [(feats, k, seed) for k in (1, 2, 3, 5) for seed in range(4)]
+    cases += [(blobs, k, seed) for k in (1, 3, 7) for seed in range(3)]
+    cases += [(np.asfortranarray(blobs), 3, 0), (np.ones((8, 3)), 2, 0)]
+    for points, k, seed in cases:
+        got = kmeans_pp(points, k, seed)
+        labels, centers, inertia = kmeans_pp_reference(points, k, seed)
+        assert np.array_equal(got.labels, labels)
+        assert np.array_equal(got.centers, centers)
+        assert got.inertia == inertia
+
+
+def test_kmeans_memory_stays_below_the_points():
+    # V = 200 views of n = 100 items: no temporary as large as the points
+    rng = np.random.default_rng(0)
+    points = np.asfortranarray(rng.normal(size=(200, 100 * 99 // 2)))
+    tracemalloc.start()
+    try:
+        kmeans_pp(points, 5, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * points.nbytes
 
 
 def test_kmeans_validation():

@@ -132,6 +132,7 @@ def test_kappa_gamma_single_view_unit_eta():
     np.testing.assert_allclose(pc.kappa[0][ii, jj], expected[ii, jj], rtol=1e-12)
     np.testing.assert_allclose(pc.kappa[0], pc.kappa[0].T)
     assert pc.gamma[0] == 1.0
+    assert np.array_equal(pc.live, [0]) and pc.kappa.shape == (1, 8, 8)
     assert np.all(np.diag(pc.kappa[0]) == 0.0)
 
 

@@ -3,11 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mvsimplex import similarity
 from mvsimplex.similarity import (
     DEFAULT_CLAMP,
     SimilarityTensor,
     ViewData,
     local_bandwidths,
+    pair_blocks,
+    pair_indices,
     pairwise_distances,
     similarity_matrix,
 )
@@ -160,11 +163,12 @@ def test_tensor_from_views_checks_item_counts():
 
 
 def test_tensor_build_memory_stays_condensed():
-    # V = 200 views of n = 100 items: the (V, n(n-1)/2) log-odds and one
-    # temporary of that size fit the bound; a dense (V, n, n) stack does not
+    # V = 200 views of n = 100 items: the (V, n(n-1)/2) log-odds and a
+    # block of pairs fit the bound; a second array of their size does not
     rng = np.random.default_rng(0)
     n_views, n = 200, 100
     views = [ViewData(rng.normal(size=(n, 2)), view_id=v + 1) for v in range(n_views)]
+    SimilarityTensor.from_views(views[:1])  # the first build imports scipy.spatial
     tracemalloc.start()
     try:
         S = SimilarityTensor.from_views(views)
@@ -174,5 +178,47 @@ def test_tensor_build_memory_stays_condensed():
     npairs = n * (n - 1) // 2
     assert S.logit.shape == (n_views, npairs) and S.log1m_sum.shape == (n_views,)
     assert S.n_views == n_views and S.n_items == n
-    assert peak < 3 * n_views * npairs * 8
+    assert peak < 1.25 * n_views * npairs * 8
+
+
+@pytest.mark.parametrize("n_views", [1, 2, 4])
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 11])
+def test_tensor_build_is_bitwise_the_whole_array_formulas(monkeypatch, n_views, n):
+    # 40 values per block.  For 4 views a block is 10 pairs: npairs = 1
+    # and 3 fall below one block, 10 is on its boundary, 15 and 55 are off
+    # it, and 21 leaves a one-pair tail.  For 2 views 21 pairs are a block
+    # of 20 and that tail; one view is always summed in one piece.
+    monkeypatch.setattr(similarity, "PAIR_BLOCK_VALUES", 40)
+    views = [ViewData(np.random.default_rng(v).normal(size=(n, 2)), view_id=v + 1)
+             for v in range(n_views)]
+    S = SimilarityTensor.from_views(views)
+    ii, jj = pair_indices(n)
+    s = np.asfortranarray(np.stack([similarity_matrix(v)[ii, jj] for v in views]))
+    log1m = np.log1p(-s)
+    assert np.array_equal(S.log1m_sum, log1m.sum(axis=1))
+    assert np.array_equal(S.logit, np.log(s) - log1m)
+    assert S.logit.flags.f_contiguous
+
+
+def test_tensor_build_is_bitwise_at_full_block_size():
+    # 60 views of 80 items: 3160 pairs in blocks of 2184, so a second,
+    # partial block; one view of 600 items has more pairs than a block
+    for n_views, n in ((60, 80), (1, 600)):
+        views = [ViewData(np.random.default_rng(v).normal(size=(n, 2)), view_id=v + 1)
+                 for v in range(n_views)]
+        ii, jj = pair_indices(n)
+        s = np.asfortranarray(np.stack([similarity_matrix(v)[ii, jj] for v in views]))
+        assert n_views == 1 or s.shape[1] > similarity.PAIR_BLOCK_VALUES // n_views
+        assert np.array_equal(SimilarityTensor.from_views(views).log1m_sum,
+                              np.log1p(-s).sum(axis=1))
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 9, 10, 11, 12, 21, 30])
+def test_pair_blocks_cover_columns_in_order_without_one_column_tails(monkeypatch, n_cols):
+    monkeypatch.setattr(similarity, "PAIR_BLOCK_VALUES", 30)
+    blocks = list(pair_blocks(3, n_cols))
+    assert np.array_equal(np.concatenate([np.arange(n_cols)[b] for b in blocks]),
+                          np.arange(n_cols))
+    assert all(b.stop - b.start <= 11 for b in blocks)
+    assert all(b.stop - b.start >= 2 for b in blocks) or n_cols == 1
 
