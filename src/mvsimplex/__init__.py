@@ -31,7 +31,6 @@ from .model import (
 from .initialization import initialize, kmeans_pp, log_odds_features
 from .partition import (
     BoundReport,
-    PartitionSampler,
     bound_rhs,
     canonicalize_labels,
     verify_theorem,
@@ -54,7 +53,6 @@ __all__ = [
     "FitDivergedError",
     "FitState",
     "ModelConfig",
-    "PartitionSampler",
     "SimilarityTensor",
     "ViewData",
     "ViewEstimate",

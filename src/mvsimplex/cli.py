@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +19,14 @@ import numpy as np
 from .datagen import consensus_views, multi_view, screen_columns, single_view
 from .metrics import mad, nmi
 from .model import ModelConfig, fit, save_fit_state
-from .partition import PartitionSampler, verify_theorem
+from .partition import verify_theorem
 from .postprocess import consensus_matrix, effective_counts, view_estimates
 from .similarity import DEFAULT_QUANTILE, SimilarityTensor, ViewData
 
 FLOAT_FMT = "%.17g"
 
-# (name, converter, default); None default means "must be supplied" for d/g/top_v
+# (name, converter, default); None default means "must be supplied" for
+# d/g/top_v, and for the other ModelConfig fields "ModelConfig's default"
 SIM_OPTS = [
     ("kind", str, "single"),
     ("setting", str, "c"),
@@ -41,15 +43,14 @@ FIT_OPTS = [
     ("d", int, None),
     ("g", int, None),
     ("alpha_lambda", float, None),
-    ("epsilon", float, 1e-3),
+    ("epsilon", float, None),
     ("quantile", float, DEFAULT_QUANTILE),
-    ("step_size", float, 0.01),
-    ("m_iters", int, 50),
-    ("max_iters", int, 2000),
-    ("window", int, 100),
-    ("conv_tol", float, 0.01),
-    ("restarts", int, 1),
-    ("seed", int, 0),
+    ("step_size", float, None),
+    ("m_iters", int, None),
+    ("max_iters", int, None),
+    ("rel_tol", float, None),
+    ("restarts", int, None),
+    ("seed", int, None),
 ]
 
 VERIFY_OPTS = [
@@ -213,15 +214,11 @@ def cmd_fit(args) -> None:
     groups = parse_view_groups(opts["views"], data.shape[1])
     views = [ViewData(values=data[:, grp], view_id=i + 1) for i, grp in enumerate(groups)]
     S = SimilarityTensor.from_views(views, q=opts["quantile"])
-    config = ModelConfig(
-        d=opts["d"], g=opts["g"], alpha_lambda=opts["alpha_lambda"],
-        epsilon=opts["epsilon"], step_size=opts["step_size"], m_iters=opts["m_iters"],
-        window=opts["window"], conv_tol=opts["conv_tol"],
-        max_em_iters=opts["max_iters"], restarts=opts["restarts"], seed=opts["seed"],
-    )
+    model_keys = {f.name for f in fields(ModelConfig)}
+    config = ModelConfig(**{k: v for k, v in opts.items() if k in model_keys and v is not None})
     state = fit(S, config)
-    estimates = view_estimates(state, seed=opts["seed"])
-    cons = consensus_matrix(state, estimates, seed=opts["seed"])
+    estimates = view_estimates(state, seed=config.seed)
+    cons = consensus_matrix(state, estimates)
     d_hat, _ = effective_counts(state)
 
     outdir = _outdir(args)
@@ -257,9 +254,10 @@ def cmd_fit(args) -> None:
         ("plain_average_consensus", str(cons.plain_average).lower()),
     ]
     _write_kv(outdir, "summary.txt", summary, names)
-    echo = [("data", args.data)] + [(name, opts[name]) for name, _, _ in FIT_OPTS]
+    resolved = {**opts, **asdict(config)}
+    echo = [("data", args.data)] + [(name, resolved[name]) for name, _, _ in FIT_OPTS]
     _write_kv(outdir, "config_used.txt", echo, names)
-    _write_manifest(outdir, names, opts["seed"])
+    _write_manifest(outdir, names, config.seed)
 
 
 def two_block_matrix(n: int, p_in: float, p_out: float) -> np.ndarray:
@@ -282,7 +280,7 @@ def cmd_verify_bound(args) -> None:
     opts = resolve_options(args, VERIFY_OPTS)
     P = two_block_matrix(opts["n"], opts["p_in"], opts["p_out"])
     report = verify_theorem(
-        PartitionSampler(P), P, [P] * opts["m"], opts["m"], opts["delta"],
+        P, [P] * opts["m"], opts["m"], opts["delta"],
         opts["replications"], opts["seed"],
         empirical_draws=opts["empirical_draws"],
         generalization_draws=opts["generalization_draws"],

@@ -70,7 +70,8 @@ def multi_view(
     """
     if means is None:
         if g0 != 3:
-            raise ValueError("means must be given when g0 != 3")
+            raise ValueError(
+                f"only g0 = 3 has default means; means must be given for g0 = {g0}")
         means = DEFAULT_PATTERN_MEANS
     means = np.asarray(means, dtype=float)
     if means.shape != (g0, 2):

@@ -147,6 +147,7 @@ def initialize(S: SimilarityTensor, config: ModelConfig, seed) -> FitState:
     state = FitState(config=config, logits=logits, lam=init.lambda0, eta=init.eta0,
                      init_assignment=init.assignment.copy())
     precomp = precompute_kappa_gamma(S, state.eta)
-    state.logits, state.lam = m_step(state, precomp, update_lambda=False)
+    state.logits, state.lam = m_step(state, precomp, config.reg_multiplier(S.n_items),
+                                     update_lambda=False)
     state.loss_history = [reg_loss(state, S)]
     return state

@@ -31,6 +31,9 @@ GROUP_SMOOTHING = 1e-12
 LAMBDA_FLOOR = 1e-12
 INIT_NOISE = 1e-2
 MERGE_DROP = 1.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 _P_LO = 1e-300
 _P_HI = 1.0 - 1e-12
 
@@ -44,10 +47,8 @@ class ModelConfig:
     """Fit hyperparameters.  alpha_lambda defaults to 1/d and the group
     penalty multiplier defaults to the item count n, both resolved lazily.
 
-    window and conv_tol set the EM stop rule through their ratio alone:
     EM stops after the first iteration whose relative loss decrease is
-    below conv_tol / window (1e-4 at the defaults, the average rate of a
-    conv_tol decrease over window iterations)."""
+    below rel_tol, or at max_iters iterations."""
 
     d: int
     g: int
@@ -55,13 +56,9 @@ class ModelConfig:
     epsilon: float = 1e-3
     n_reg_multiplier: float | None = None
     step_size: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     m_iters: int = 50
-    window: int = 100
-    conv_tol: float = 0.01
-    max_em_iters: int = 2000
+    max_iters: int = 2000
+    rel_tol: float = 1e-4
     restarts: int = 1
     seed: int = 0
 
@@ -72,7 +69,7 @@ class ModelConfig:
             raise ValueError(f"g must be >= 1, got {self.g}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.m_iters < 1 or self.max_em_iters < 1 or self.window < 1:
+        if self.m_iters < 1 or self.max_iters < 1:
             raise ValueError("iteration counts must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
@@ -86,13 +83,6 @@ class ModelConfig:
     def reg_multiplier(self, n_items: int) -> float:
         scale = self.n_reg_multiplier if self.n_reg_multiplier is not None else 1.0
         return float(scale) * float(n_items)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelConfig":
-        return cls(**payload)
 
 
 @dataclass
@@ -117,10 +107,6 @@ class FitState:
     @property
     def n_items(self) -> int:
         return self.logits.shape[1]
-
-    @property
-    def n_views(self) -> int:
-        return self.eta.shape[0]
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -153,18 +139,18 @@ def coassignment_matrix(weights: np.ndarray) -> np.ndarray:
     return weights @ weights.T
 
 
-def group_regularizer(weights: np.ndarray, epsilon: float, smoothing: float = GROUP_SMOOTHING) -> float:
+def group_regularizer(weights: np.ndarray, epsilon: float) -> float:
     """Column-wise group penalty on one W.
 
-    R(W) = sum_k [ sqrt(smoothing + sum_i max(0, log(w_ik / epsilon))^2)
-                   - sqrt(smoothing) ]
+    R(W) = sum_k [ sqrt(GROUP_SMOOTHING + sum_i max(0, log(w_ik / epsilon))^2)
+                   - sqrt(GROUP_SMOOTHING) ]
 
     Zero exactly when every entry is at or below epsilon; the smoothing term
     keeps the gradient finite at fully shrunk columns.
     """
     h = np.maximum(0.0, np.log(weights) - np.log(epsilon))
-    g = weights.shape[1]
-    return float(np.sqrt(smoothing + (h * h).sum(axis=0)).sum() - g * np.sqrt(smoothing))
+    col_norms = np.sqrt(GROUP_SMOOTHING + (h * h).sum(axis=0))
+    return float(col_norms.sum() - weights.shape[1] * np.sqrt(GROUP_SMOOTHING))
 
 
 def dirichlet_penalty(lam: np.ndarray, alpha: float) -> float:
@@ -287,7 +273,8 @@ def _adam_descend(logits: np.ndarray, precomp: KappaGamma, config: ModelConfig, 
 
     The update runs in place, in the operation order of the textbook form
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
-    x -= step (m / c1) / (sqrt(v / c2) + eps), so it gives the same bits."""
+    x -= step (m / c1) / (sqrt(v / c2) + eps), so it gives the same bits
+    (b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS)."""
     x = logits.copy()
     m = np.zeros_like(x)
     v = np.zeros_like(x)
@@ -296,17 +283,17 @@ def _adam_descend(logits: np.ndarray, precomp: KappaGamma, config: ModelConfig, 
         grad = expected_loss_gradient(x, precomp, config.epsilon, n_reg)
         if not np.all(np.isfinite(grad)):
             raise FitDivergedError("non-finite gradient during descent")
-        np.multiply(grad, 1.0 - config.beta2, out=buf)
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=buf)
         buf *= grad
-        v *= config.beta2
+        v *= ADAM_BETA2
         v += buf
-        grad *= 1.0 - config.beta1
-        m *= config.beta1
+        grad *= 1.0 - ADAM_BETA1
+        m *= ADAM_BETA1
         m += grad
-        np.divide(v, 1.0 - config.beta2 ** t, out=buf)
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=buf)
         np.sqrt(buf, out=buf)
-        buf += config.adam_eps
-        np.divide(m, 1.0 - config.beta1 ** t, out=grad)
+        buf += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=grad)
         grad *= config.step_size
         grad /= buf
         x -= grad
@@ -331,13 +318,11 @@ def lambda_mode_update(eta: np.ndarray, alpha: float) -> np.ndarray:
     return lam
 
 
-def m_step(state: FitState, precomp: KappaGamma, n_reg: float | None = None,
+def m_step(state: FitState, precomp: KappaGamma, n_reg: float,
            update_lambda: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """One M step: Adam descent on the logits against the expected loss plus
-    penalties, then the mode update for lambda.  Returns (logits, lambda)
-    without mutating the state."""
-    if n_reg is None:
-        n_reg = state.config.reg_multiplier(state.n_items)
+    n_reg times the group penalties, then the mode update for lambda.
+    Returns (logits, lambda) without mutating the state."""
     logits = _adam_descend(state.logits, precomp, state.config, n_reg)
     lam = lambda_mode_update(state.eta, state.config.alpha) if update_lambda else state.lam.copy()
     return logits, lam
@@ -386,7 +371,7 @@ def fit(S: SimilarityTensor, config: ModelConfig) -> FitState:
     EM iteration.  Convergence fires when two consecutive losses are
     bit-equal (nothing left to move, "stationary"), or after the first
     iteration whose relative decrease (prev - loss) / |prev| is below
-    conv_tol / window ("window"); a rise in the loss counts as such a step.
+    rel_tol ("rate"); a rise in the loss counts as such a step.
     The iteration cap is recorded as non-convergence ("cap").
 
     Descent alone can stop with a true cluster split over several near
@@ -398,7 +383,7 @@ def fit(S: SimilarityTensor, config: ModelConfig) -> FitState:
     column k below epsilon.  The best trial is kept only if it lowers
     reg_loss at the current eta and lambda, and the step repeats until no
     trial does.  After a kept merge EM resumes under the same stop rule,
-    within the same max_em_iters budget, and the merge step follows its
+    within the same max_iters budget, and the merge step follows its
     next convergence; if the resumed run ends above the loss it started
     from, the state from before the merges is returned.  loss_history
     keeps one entry per EM iteration.  The restart with the lowest final
@@ -426,7 +411,7 @@ def _fit_single(S: SimilarityTensor, config: ModelConfig, seed, n_reg: float) ->
 
     state = initialize(S, config, seed)
     _run_em(state, S, config, n_reg)
-    while state.converged and state.iterations < config.max_em_iters:
+    while state.converged and state.iterations < config.max_iters:
         before = copy.deepcopy(state)
         if not _merge_columns(state, S, n_reg):
             break
@@ -438,7 +423,7 @@ def _fit_single(S: SimilarityTensor, config: ModelConfig, seed, n_reg: float) ->
 
 def _run_em(state: FitState, S: SimilarityTensor, config: ModelConfig, n_reg: float) -> None:
     """EM iterations on the state until the stop rule fires or the total
-    count reaches max_em_iters.
+    count reaches max_iters.
 
     The stop rule (see fit) looks at the last step only.  After a kept
     merge, the first resumed step is measured from the last loss before
@@ -451,7 +436,7 @@ def _run_em(state: FitState, S: SimilarityTensor, config: ModelConfig, n_reg: fl
     pick another kernel and change the last bits of the loss."""
     history = state.loss_history
     divergences = view_divergences(state.logits, S)
-    for _ in range(config.max_em_iters - (len(history) - 1)):
+    for _ in range(config.max_iters - (len(history) - 1)):
         state.eta = eta_from_divergences(divergences, state.lam)
         precomp = precompute_kappa_gamma(S, state.eta)
         state.logits, state.lam = m_step(state, precomp, n_reg)
@@ -465,9 +450,9 @@ def _run_em(state: FitState, S: SimilarityTensor, config: ModelConfig, n_reg: fl
             state.converged_by = "stationary"
             break
         decrease = (history[-2] - history[-1]) / max(abs(history[-2]), 1e-300)
-        if decrease < config.conv_tol / config.window:
+        if decrease < config.rel_tol:
             state.converged = True
-            state.converged_by = "window"
+            state.converged_by = "rate"
             break
     else:
         state.converged = False
@@ -536,14 +521,14 @@ def _merge_columns(state: FitState, S: SimilarityTensor, n_reg: float) -> bool:
 
 
 FIT_STATE_FORMAT = "mvsimplex-fit-state"
-FIT_STATE_VERSION = 1
+FIT_STATE_VERSION = 2
 
 
 def save_fit_state(state: FitState, path) -> None:
     payload = {
         "format": FIT_STATE_FORMAT,
         "version": FIT_STATE_VERSION,
-        "config": state.config.to_dict(),
+        "config": asdict(state.config),
         "logits": state.logits.tolist(),
         "lambda": state.lam.tolist(),
         "eta": state.eta.tolist(),
@@ -567,7 +552,7 @@ def load_fit_state(path) -> FitState:
     if payload.get("version") != FIT_STATE_VERSION:
         raise ValueError(f"{path}: unsupported fit-state version {payload.get('version')}")
     return FitState(
-        config=ModelConfig.from_dict(payload["config"]),
+        config=ModelConfig(**payload["config"]),
         logits=np.asarray(payload["logits"], dtype=float),
         lam=np.asarray(payload["lambda"], dtype=float),
         eta=np.asarray(payload["eta"], dtype=float),

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import nmi
-from .model import kl_bernoulli, pair_indices
+from .model import kl_bernoulli
+from .similarity import pair_indices
 
 
 def _check_probability_matrix(P: np.ndarray) -> np.ndarray:
@@ -130,20 +131,6 @@ def bound_rhs(P: np.ndarray, s_list, M: int, delta: float) -> float:
 
 
 @dataclass
-class PartitionSampler:
-    """A sampleable partition distribution: the sequential process run on a
-    fixed co-assignment probability matrix."""
-
-    P: np.ndarray
-
-    def __post_init__(self):
-        self.P = _check_probability_matrix(self.P)
-
-    def sample_labels(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return sample_partition_labels(self.P, size, rng)
-
-
-@dataclass
 class BoundReport:
     """Aggregated outcome of repeated bound checks."""
 
@@ -199,7 +186,6 @@ class _LossTable:
 
 
 def verify_theorem(
-    generator,
     P: np.ndarray,
     s_list,
     M: int,
@@ -212,10 +198,10 @@ def verify_theorem(
 ) -> BoundReport:
     """Replicated check of the risk bound.
 
-    Each replication draws M ground-truth partitions from the generator
-    (anything with sample_labels(rng, size)), estimates the view-averaged
-    empirical risk and the generalization risk against the sampler on P by
-    shared Monte-Carlo draws (generalization_draws fresh ground truths), and
+    Each replication draws M ground-truth partitions from the sampler on P,
+    estimates the view-averaged empirical risk and the generalization risk
+    against the same sampler by shared Monte-Carlo draws
+    (generalization_draws fresh ground truths), and
     compares KL(generalization risk || empirical risk) with the bound.
     Replications whose risks land outside (0, 1) fall outside the bound's
     own precondition; they are skipped and counted.
@@ -229,13 +215,13 @@ def verify_theorem(
     skipped_mask = np.zeros(replications, dtype=bool)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
         rng = np.random.default_rng(child)
-        z0_ids = table.intern(canonicalize_labels(generator.sample_labels(rng, M)))
+        z0_ids = table.intern(canonicalize_labels(sample_partition_labels(P, M, rng)))
         phi_uniq, phi_counts = _unique_rows(
             canonicalize_labels(sample_partition_labels(P, empirical_draws, rng)))
         phi_ids = table.intern(phi_uniq)
         phi_freq = phi_counts / phi_counts.sum()
         gen_uniq, gen_counts = _unique_rows(
-            canonicalize_labels(generator.sample_labels(rng, generalization_draws)))
+            canonicalize_labels(sample_partition_labels(P, generalization_draws, rng)))
         gen_ids = table.intern(gen_uniq)
         gen_freq = gen_counts / gen_counts.sum()
 

@@ -129,8 +129,7 @@ def structure_cluster_count(weights: np.ndarray, epsilon: float) -> int:
     return int(np.unique(pointwise_labels(weights, epsilon)).size)
 
 
-def consensus_matrix(state: FitState, estimates: list[ViewEstimate] | None = None,
-                     seed=0) -> ConsensusResult:
+def consensus_matrix(state: FitState, estimates: list[ViewEstimate]) -> ConsensusResult:
     """Structure-weighted average of the per-view co-assignment matrices.
 
     A view counts only if its parameterization clusters the items into more
@@ -138,8 +137,6 @@ def consensus_matrix(state: FitState, estimates: list[ViewEstimate] | None = Non
     view counts, the plain average is returned and flagged.  Each view's
     weighted p_hat is added in view order into one (n, n) accumulator.
     """
-    if estimates is None:
-        estimates = view_estimates(state, seed)
     eps = state.config.epsilon
     w3 = state.weights
     u = np.array([1.0 if structure_cluster_count(w3[est.x_hat], eps) > 1 else 0.0

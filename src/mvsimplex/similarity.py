@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_QUANTILE = 0.1
-DEFAULT_CLAMP = (1e-6, 1.0 - 1e-6)
+CLAMP = (1e-6, 1.0 - 1e-6)
 PAIR_BLOCK_VALUES = 1 << 17   # values in one block of pair_blocks: 1 MB of float64
 
 
@@ -77,15 +77,9 @@ def local_bandwidths(dist: np.ndarray, q: float = DEFAULT_QUANTILE) -> np.ndarra
     return sigma
 
 
-def similarity_matrix(
-    view: ViewData,
-    q: float = DEFAULT_QUANTILE,
-    clamp: tuple[float, float] = DEFAULT_CLAMP,
-) -> np.ndarray:
-    """Locally scaled similarities for one view, clamped into (0, 1)."""
-    s_min, s_max = clamp
-    if not 0.0 < s_min < s_max < 1.0:
-        raise ValueError(f"invalid clamp bounds {clamp}")
+def similarity_matrix(view: ViewData, q: float = DEFAULT_QUANTILE) -> np.ndarray:
+    """Locally scaled similarities for one view, clamped into CLAMP."""
+    s_min, s_max = CLAMP
     dist = pairwise_distances(view)
     sigma = local_bandwidths(dist, q)
     band = np.sqrt(sigma[:, None] * sigma[None, :])
@@ -171,19 +165,14 @@ class SimilarityTensor:
     logit: np.ndarray
     log1m_sum: np.ndarray
     n_items: int
-    clamp: tuple[float, float] = DEFAULT_CLAMP
 
     @property
     def n_views(self) -> int:
         return self.logit.shape[0]
 
     @classmethod
-    def from_views(
-        cls,
-        views: Sequence[ViewData],
-        q: float = DEFAULT_QUANTILE,
-        clamp: tuple[float, float] = DEFAULT_CLAMP,
-    ) -> "SimilarityTensor":
+    def from_views(cls, views: Sequence[ViewData],
+                   q: float = DEFAULT_QUANTILE) -> "SimilarityTensor":
         """Build one view's dense similarities at a time and keep only its
         pairs, then turn them into log-odds a block of pairs at a time, so
         the peak holds one (V, npairs) array and no (V, n, n) one."""
@@ -196,5 +185,5 @@ class SimilarityTensor:
         ii, jj = pair_indices(n)
         logit = np.empty((len(views), ii.size), order="F")
         for k, view in enumerate(views):
-            logit[k] = similarity_matrix(view, q, clamp)[ii, jj]
-        return cls(logit, pair_row_sums(logit, _to_log_odds), n, clamp)
+            logit[k] = similarity_matrix(view, q)[ii, jj]
+        return cls(logit, pair_row_sums(logit, _to_log_odds), n)

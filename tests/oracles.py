@@ -505,11 +505,11 @@ def adam_descend_reference(logits, precomp, config, n_reg):
         grad = model.expected_loss_gradient(x, precomp, config.epsilon, n_reg)
         if not np.all(np.isfinite(grad)):
             raise model.FitDivergedError("non-finite gradient during descent")
-        m = config.beta1 * m + (1.0 - config.beta1) * grad
-        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-        m_hat = m / (1.0 - config.beta1 ** t)
-        v_hat = v / (1.0 - config.beta2 ** t)
-        x -= config.step_size * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        m = model.ADAM_BETA1 * m + (1.0 - model.ADAM_BETA1) * grad
+        v = model.ADAM_BETA2 * v + (1.0 - model.ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - model.ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - model.ADAM_BETA2 ** t)
+        x -= config.step_size * m_hat / (np.sqrt(v_hat) + model.ADAM_EPS)
     return x
 
 

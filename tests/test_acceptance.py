@@ -26,7 +26,6 @@ from mvsimplex.model import (
     row_softmax,
 )
 from mvsimplex.partition import (
-    PartitionSampler,
     canonicalize_labels,
     sample_partition_labels,
     verify_theorem,
@@ -180,7 +179,7 @@ def test_criterion_06_consensus_structure():
     views, labels, _ = consensus_views(200, seed=0)
     S = SimilarityTensor.from_views(views, q=0.1)
     state = fit(S, ModelConfig(d=10, g=10, seed=0))
-    cons = consensus_matrix(state)
+    cons = consensus_matrix(state, view_estimates(state))
     u = cons.weights.astype(int)
     val = nmi(spectral_labels(cons.matrix, 3, seed=0), labels[1])
     # the groups overlap at unit noise: the consensus of the two structured
@@ -237,7 +236,7 @@ def test_criterion_08_loss_refactoring_equivalence():
 
 def test_criterion_09_risk_bound_holds():
     P = two_block_matrix(5, 0.9, 0.1)
-    rep = verify_theorem(PartitionSampler(P), P, [P] * 5, 5, 0.2, 500, seed=0)
+    rep = verify_theorem(P, [P] * 5, 5, 0.2, 500, seed=0)
     ok = rep.holds_fraction >= 0.77
     report(9, ok, "bound holds on %.4f of %d evaluated replications (>=0.77, "
                   "%d skipped)" % (rep.holds_fraction, rep.evaluated, rep.skipped))

@@ -65,6 +65,13 @@ class TestSimulate:
         assert run("simulate", "--out", tmp_path / "x", "--kind", "nope") == 2
         assert "unknown simulate kind" in capsys.readouterr().err
 
+    def test_multi_g0_other_than_3_fails(self, tmp_path, capsys):
+        assert run("simulate", "--out", tmp_path / "x", "--kind", "multi",
+                   "--g0", 4) == 2
+        err = capsys.readouterr().err
+        assert "only g0 = 3 has default means" in err
+        assert "means must be given" in err
+
 
 class TestFit:
     def test_two_blob_flow(self, tmp_path, capsys):
@@ -142,6 +149,29 @@ class TestFit:
         assert "d = 1" in used and "g = 2" in used
         manifest = read_lines(out / "manifest.csv")
         assert all(line.endswith(",9") for line in manifest[1:])
+
+    def test_config_used_echoes_model_defaults(self, tmp_path):
+        # with no model flag given, every value comes from ModelConfig
+        data_csv = tmp_path / "data.csv"
+        write_blob_csv(data_csv)
+        out = tmp_path / "fit"
+        assert run("fit", "--data", data_csv, "--out", out,
+                   "--views", "0-1", "--d", 1, "--g", 2) == 0
+        used = read_lines(out / "config_used.txt")
+        for line in ("alpha_lambda = None", "epsilon = 0.001", "quantile = 0.1",
+                     "step_size = 0.01", "m_iters = 50", "max_iters = 2000",
+                     "rel_tol = 0.0001", "restarts = 1", "seed = 0"):
+            assert line in used, line
+        assert sum(line.endswith("= None") for line in used) == 1
+
+    def test_removed_stop_rule_key_fails(self, tmp_path, capsys):
+        data_csv = tmp_path / "data.csv"
+        write_blob_csv(data_csv)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("d = 1\ng = 2\nwindow = 100\n")
+        assert run("fit", "--data", data_csv, "--out", tmp_path / "o",
+                   "--config", cfg) == 2
+        assert "unknown config keys: window" in capsys.readouterr().err
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"

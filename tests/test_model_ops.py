@@ -213,7 +213,3 @@ def test_model_config_validation_and_defaults():
         with pytest.raises(ValueError):
             ModelConfig(**bad)
 
-
-def test_model_config_dict_roundtrip():
-    cfg = ModelConfig(d=3, g=5, alpha_lambda=0.2, restarts=2, seed=17)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg

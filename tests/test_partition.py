@@ -6,7 +6,6 @@ import pytest
 from mvsimplex.cli import two_block_matrix
 from mvsimplex.partition import (
     BoundReport,
-    PartitionSampler,
     _unique_rows,
     bound_rhs,
     canonicalize_labels,
@@ -215,15 +214,6 @@ class TestSamplers:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
 
-    def test_partition_sampler_wraps_batch(self):
-        P = np.full((4, 4), 0.5)
-        np.fill_diagonal(P, 1.0)
-        s = PartitionSampler(P)
-        a = s.sample_labels(np.random.default_rng(12), 7)
-        b = sample_partition_labels(P, 7, np.random.default_rng(12))
-        np.testing.assert_array_equal(a, b)
-        assert a.shape == (7, 4)
-
 
 class TestRisks:
     def test_partition_loss_zero_on_equal(self):
@@ -294,7 +284,7 @@ class TestVerifyTheorem:
         P = (P + P.T) / 2
         np.fill_diagonal(P, 1.0)
         s_list = [P.copy() for _ in range(3)]
-        rep = verify_theorem(PartitionSampler(P), P, s_list, M=3, delta=0.2,
+        rep = verify_theorem(P, s_list, M=3, delta=0.2,
                              replications=8, seed=5, empirical_draws=300,
                              generalization_draws=600)
         assert isinstance(rep, BoundReport)
@@ -312,10 +302,10 @@ class TestVerifyTheorem:
         P = np.full((4, 4), 0.6)
         np.fill_diagonal(P, 1.0)
         s_list = [P.copy(), P.copy()]
-        a = verify_theorem(PartitionSampler(P), P, s_list, M=2, delta=0.3,
+        a = verify_theorem(P, s_list, M=2, delta=0.3,
                            replications=4, seed=9, empirical_draws=200,
                            generalization_draws=400)
-        b = verify_theorem(PartitionSampler(P), P, s_list, M=2, delta=0.3,
+        b = verify_theorem(P, s_list, M=2, delta=0.3,
                            replications=4, seed=9, empirical_draws=200,
                            generalization_draws=400)
         np.testing.assert_array_equal(a.lhs, b.lhs)
@@ -334,7 +324,7 @@ class TestVerifyTheorem:
                 P = random_probability_matrix(np.random.default_rng((n, M, seed)), n,
                                               binary=seed == 2)
             s_list = [np.clip(P, 0.05, 0.95)] * M
-            rep = verify_theorem(PartitionSampler(P), P, s_list, M, 0.2, replications=5,
+            rep = verify_theorem(P, s_list, M, 0.2, replications=5,
                                  seed=seed, **draws)
             lhs, holds_each, skipped = verify_theorem_reference(
                 ReferenceSampler(P), P, s_list, M, 0.2, replications=5, seed=seed, **draws)
@@ -360,12 +350,12 @@ class TestVerifyTheorem:
         args = (P, [P] * 3, 3, 0.2)
         kwargs = {"replications": 6, "seed": 2, "empirical_draws": 300,
                   "generalization_draws": 600}
-        verify_theorem(PartitionSampler(P), *args, **kwargs)
+        verify_theorem(*args, **kwargs)
         verify_theorem_reference(ReferenceSampler(P), *args, **kwargs)
         assert calls["lib"] == calls["ref"] > 0
 
     def test_replication_validation(self):
         P = np.full((3, 3), 0.5)
         with pytest.raises(ValueError, match="replications"):
-            verify_theorem(PartitionSampler(P), P, [P, P], M=2, delta=0.2,
+            verify_theorem(P, [P, P], M=2, delta=0.2,
                            replications=0, seed=0)

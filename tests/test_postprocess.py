@@ -210,7 +210,7 @@ class TestConsensus:
         flat = np.array([[1.0 - 1e-4, 1e-4]] * 3)
         eta = np.array([[0.6, 0.4], [0.3, 0.7]])
         st = state_from_weights([flat, flat.copy()], eta)
-        res = consensus_matrix(st)
+        res = consensus_matrix(st, view_estimates(st, seed=0))
         assert res.plain_average
         assert res.weights.tolist() == [0.0, 0.0]
         stack = [coassignment_matrix(st.weights[0]), coassignment_matrix(st.weights[1])]
@@ -239,7 +239,7 @@ class TestConsensus:
 
     def test_consensus_is_convex_combination(self):
         st = self.make_state()
-        res = consensus_matrix(st)
+        res = consensus_matrix(st, view_estimates(st, seed=0))
         assert res.matrix.min() >= 0.0
         assert res.matrix.max() <= 1.0
         np.testing.assert_allclose(res.matrix, res.matrix.T)

@@ -5,7 +5,7 @@ import pytest
 
 from mvsimplex import similarity
 from mvsimplex.similarity import (
-    DEFAULT_CLAMP,
+    CLAMP,
     SimilarityTensor,
     ViewData,
     local_bandwidths,
@@ -86,9 +86,9 @@ def test_similarity_exact_symmetry_and_diagonal():
     rng = np.random.default_rng(3)
     s = similarity_matrix(ViewData(rng.normal(size=(40, 3))))
     assert np.array_equal(s, s.T)
-    assert np.all(np.diag(s) == DEFAULT_CLAMP[1])
+    assert np.all(np.diag(s) == CLAMP[1])
     off = s[~np.eye(40, dtype=bool)]
-    assert off.min() >= DEFAULT_CLAMP[0] and off.max() <= DEFAULT_CLAMP[1]
+    assert off.min() >= CLAMP[0] and off.max() <= CLAMP[1]
     logit = np.log(s / (1.0 - s))
     assert np.all(np.isfinite(logit))
 
@@ -107,16 +107,16 @@ def test_similarity_matches_scalar_reference():
     # in a distance to matter
     for p in (2, 9):
         pts = rng.normal(size=(12, p))
-        expected = np.clip(similarity_reference(pts, 0.1), *DEFAULT_CLAMP)
-        np.fill_diagonal(expected, DEFAULT_CLAMP[1])
+        expected = np.clip(similarity_reference(pts, 0.1), *CLAMP)
+        np.fill_diagonal(expected, CLAMP[1])
         got = similarity_matrix(ViewData(pts))
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_similarity_three_point_hand_case():
     got = similarity_matrix(ViewData(np.array([0.0, 0.1, 10.0])), q=0.5)
-    expected = np.clip(similarity_reference(np.array([[0.0], [0.1], [10.0]]), 0.5), *DEFAULT_CLAMP)
-    np.fill_diagonal(expected, DEFAULT_CLAMP[1])
+    expected = np.clip(similarity_reference(np.array([[0.0], [0.1], [10.0]]), 0.5), *CLAMP)
+    np.fill_diagonal(expected, CLAMP[1])
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -137,14 +137,6 @@ def test_similarity_global_scale_invariance():
     s1 = similarity_matrix(ViewData(pts))
     s2 = similarity_matrix(ViewData(pts * 37.0))
     np.testing.assert_allclose(s1, s2, rtol=1e-10)
-
-
-def test_similarity_clamp_validation():
-    view = ViewData(np.arange(5.0))
-    with pytest.raises(ValueError):
-        similarity_matrix(view, clamp=(0.2, 0.1))
-    with pytest.raises(ValueError):
-        similarity_matrix(view, clamp=(0.0, 0.5))
 
 
 def test_viewdata_promotes_1d_and_rejects_3d():
