@@ -200,7 +200,7 @@ class KappaGamma(NamedTuple):
     gamma (d,) responsibility masses, live the indices of the entries with
     gamma_l > 0, and kappa (live.size, n, n) their pair coefficients,
     kappa[r] for entry live[r], symmetric with a zero diagonal.  A dead
-    entry's kappa is zero and is not stored.
+    entry's kappa is zero and is not stored; the M step leaves its logits.
     The data-fit loss is sum_l sum_{j<i} kappa_ij p*_ij
     + gamma_l [p* logit(p*) + log(1 - p*)] plus the eta-independent constant
     -sum_v sum_{j<i} log(1 - s^(v)) = -S.log1m_sum.sum()."""
@@ -230,17 +230,14 @@ def precompute_kappa_gamma(S: SimilarityTensor, eta: np.ndarray) -> KappaGamma:
 
 
 def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: float, n_reg: float) -> np.ndarray:
-    """Analytic gradient, with respect to the logits, of the quantity the
-    M step descends: the kappa/gamma data loss plus n_reg times the group
-    penalties (the Dirichlet term is constant in the logits).
+    """Analytic gradient, with respect to the logits (live.size, n, g) of
+    the entries precomp.live, the only ones the M step moves, of the
+    kappa/gamma data loss plus n_reg times the group penalties (the
+    Dirichlet term is constant in the logits).
 
     Per pair the data derivative is kappa + gamma * logit(p*); chaining
     through P* = W W^T gives G W per parameterization, and the softmax rows
     map weight-space gradients u to w * (u - <u, w>).
-
-    The data term is computed only for the live entries (gamma_l > 0).  A
-    dead entry has kappa and gamma zero, so its G W is zero and it gets the
-    group-penalty gradient alone, bit for bit what the full sum gives.
     """
     W = row_softmax(logits)
     h = np.log(W)
@@ -249,18 +246,16 @@ def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: flo
     col_norm = np.sqrt(GROUP_SMOOTHING + (h * h).sum(axis=1, keepdims=True))
     grad_w = np.multiply(n_reg, h, out=h)
     grad_w /= W * col_norm
-    live = precomp.live
-    W_live = W[live]
-    P = np.matmul(W_live, W_live.transpose(0, 2, 1))
+    P = np.matmul(W, W.transpose(0, 2, 1))
     np.clip(P, _P_LO, _P_HI, out=P)
     G = np.log(P)
     np.negative(P, out=P)
     G -= np.log1p(P, out=P)
-    G *= precomp.gamma[live, None, None]
+    G *= precomp.gamma[precomp.live, None, None]
     G += precomp.kappa
     idx = np.arange(W.shape[1])
     G[:, idx, idx] = 0.0
-    grad_w[live] += G @ W_live
+    grad_w += G @ W
     inner = (grad_w * W).sum(axis=2, keepdims=True)
     grad_w -= inner
     grad_w *= W
@@ -268,14 +263,17 @@ def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: flo
 
 
 def _adam_descend(logits: np.ndarray, precomp: KappaGamma, config: ModelConfig, n_reg: float) -> np.ndarray:
-    """config.m_iters Adam iterations on all logits jointly.  Moments start
-    at zero for every call.
+    """config.m_iters Adam iterations on the rows precomp.live (gamma_l > 0)
+    jointly; the others come back unchanged (frozen for good under
+    alpha <= 1, where lambda_l = 0; with alpha > 1 a row whose gamma
+    underflows to 0 keeps lambda_l > 0 and can regain mass).  Moments
+    start at zero for every call.
 
     The update runs in place, in the operation order of the textbook form
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
     x -= step (m / c1) / (sqrt(v / c2) + eps), so it gives the same bits
     (b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS)."""
-    x = logits.copy()
+    x = logits[precomp.live]
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     buf = np.empty_like(x)
@@ -297,7 +295,9 @@ def _adam_descend(logits: np.ndarray, precomp: KappaGamma, config: ModelConfig, 
         grad *= config.step_size
         grad /= buf
         x -= grad
-    return x
+    out = logits.copy()
+    out[precomp.live] = x
+    return out
 
 
 def lambda_mode_update(eta: np.ndarray, alpha: float) -> np.ndarray:
@@ -320,9 +320,9 @@ def lambda_mode_update(eta: np.ndarray, alpha: float) -> np.ndarray:
 
 def m_step(state: FitState, precomp: KappaGamma, n_reg: float,
            update_lambda: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """One M step: Adam descent on the logits against the expected loss plus
-    n_reg times the group penalties, then the mode update for lambda.
-    Returns (logits, lambda) without mutating the state."""
+    """One M step: Adam descent on the live logits against the expected
+    loss plus n_reg times the group penalties, then the mode update for
+    lambda.  Returns (logits, lambda) without mutating the state."""
     logits = _adam_descend(state.logits, precomp, state.config, n_reg)
     lam = lambda_mode_update(state.eta, state.config.alpha) if update_lambda else state.lam.copy()
     return logits, lam
@@ -368,11 +368,13 @@ def fit(S: SimilarityTensor, config: ModelConfig) -> FitState:
 
     Each restart initializes from its own derived seed, then alternates
     E step / kappa-gamma precompute / M step, recording reg_loss after every
-    EM iteration.  Convergence fires when two consecutive losses are
-    bit-equal (nothing left to move, "stationary"), or after the first
-    iteration whose relative decrease (prev - loss) / |prev| is below
-    rel_tol ("rate"); a rise in the loss counts as such a step.
-    The iteration cap is recorded as non-convergence ("cap").
+    EM iteration.  An M step moves only the entries with gamma_l > 0; a
+    dead one keeps its logits and its penalty is a constant of the loss
+    (with alpha > 1, gamma can underflow to 0 while lambda stays > 0, and
+    the entry can regain mass).  Convergence fires when two consecutive
+    losses are bit-equal (nothing left to move, "stationary"), or after the
+    first iteration whose relative decrease (prev - loss) / |prev| is below
+    rel_tol ("rate"; a rise counts too); the cap is non-convergence ("cap").
 
     Descent alone can stop with a true cluster split over several near
     one-hot columns, which the objective scores well above the joined
@@ -429,11 +431,9 @@ def _run_em(state: FitState, S: SimilarityTensor, config: ModelConfig, n_reg: fl
     merge, the first resumed step is measured from the last loss before
     the merge, so the merge's own gain counts in that step.
 
-    Once an entry is dead (lambda = 0 and an all-zero eta column) the M step
-    gives it the group-penalty gradient alone and zero kappa.  Divergences
-    still cover the whole catalog: over the live entries alone, the product
-    over pairs in view_divergences has another shape, for which BLAS may
-    pick another kernel and change the last bits of the loss."""
+    Only entries with gamma_l > 0 move (see fit).  Divergences cover the
+    whole catalog: over the live rows alone the E-step product has another
+    shape, for which BLAS may pick another kernel and change the loss."""
     history = state.loss_history
     divergences = view_divergences(state.logits, S)
     for _ in range(config.max_iters - (len(history) - 1)):

@@ -474,9 +474,10 @@ def full_kappa(precomp) -> np.ndarray:
 
 
 def expected_loss_gradient_reference(logits, precomp, epsilon, n_reg):
-    """The descent gradient with the data term G W computed for every
-    catalog entry, dead ones included.  The library skips the entries with
-    zero gamma, which must not move a bit of the result."""
+    """The descent gradient of every catalog entry, dead ones included: a
+    dead entry (zero kappa and gamma) gets the group-penalty gradient
+    alone.  The library takes the live entries' rows only; on those rows
+    the two must agree bit for bit."""
     from mvsimplex.model import _P_HI, _P_LO, GROUP_SMOOTHING, row_softmax
 
     W = row_softmax(logits)
@@ -494,15 +495,35 @@ def expected_loss_gradient_reference(logits, precomp, epsilon, n_reg):
 
 def adam_descend_reference(logits, precomp, config, n_reg):
     """The M-step Adam loop in its textbook form, with fresh moment and
-    bias-corrected arrays on every step.  The library updates in place in
-    the same operation order, which must not move a bit of the result."""
+    bias-corrected arrays on every step, on the live entries' rows
+    (precomp.live) alone.  The library updates in place in the same
+    operation order, which must not move a bit of the result."""
     from mvsimplex import model
 
-    x = logits.copy()
+    out = logits.copy()
+    out[precomp.live] = _textbook_adam(
+        logits[precomp.live], config,
+        lambda x: model.expected_loss_gradient(x, precomp, config.epsilon, n_reg))
+    return out
+
+
+def adam_descend_every_entry(logits, precomp, config, n_reg):
+    """The M step that descends every catalog entry, dead ones (gamma_l = 0)
+    included, on the full-catalog gradient: a dead entry moves under its
+    group penalty alone.  The library freezes dead entries, which must not
+    move a bit of a live entry's trajectory."""
+    return _textbook_adam(
+        logits.copy(), config,
+        lambda x: expected_loss_gradient_reference(x, precomp, config.epsilon, n_reg))
+
+
+def _textbook_adam(x, config, gradient):
+    from mvsimplex import model
+
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     for t in range(1, config.m_iters + 1):
-        grad = model.expected_loss_gradient(x, precomp, config.epsilon, n_reg)
+        grad = gradient(x)
         if not np.all(np.isfinite(grad)):
             raise model.FitDivergedError("non-finite gradient during descent")
         m = model.ADAM_BETA1 * m + (1.0 - model.ADAM_BETA1) * grad

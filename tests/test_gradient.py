@@ -86,9 +86,9 @@ def _eta_with_dead_entries(rng, n_views, d, n_dead):
 
 
 def test_gradient_equals_full_catalog_kernel_with_dead_entries():
-    # an entry with an all-zero eta column gets the group-penalty gradient
-    # alone; the full-catalog kernel must agree bit for bit, with none, some
-    # and all but one of the entries dead
+    # the gradient takes the live entries' rows only; on those rows the
+    # full-catalog kernel must agree bit for bit, with none, some and all
+    # but one of the entries dead
     n_views, n, d, g = 4, 12, 5, 3
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -96,8 +96,9 @@ def test_gradient_equals_full_catalog_kernel_with_dead_entries():
         logits = 3.0 * rng.normal(size=(d, n, g))  # some weights under epsilon
         for n_dead in (0, 2, d - 1):
             pc = precompute_kappa_gamma(S, _eta_with_dead_entries(rng, n_views, d, n_dead))
-            got = expected_loss_gradient(logits, pc, 1e-3, float(n))
-            want = expected_loss_gradient_reference(logits, pc, 1e-3, float(n))
+            assert pc.live.size == d - n_dead
+            got = expected_loss_gradient(logits[pc.live], pc, 1e-3, float(n))
+            want = expected_loss_gradient_reference(logits, pc, 1e-3, float(n))[pc.live]
             assert np.array_equal(got, want), f"seed {seed}, {n_dead} dead entries"
 
 

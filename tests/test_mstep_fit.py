@@ -21,9 +21,9 @@ from mvsimplex.postprocess import view_estimates
 from mvsimplex.similarity import SimilarityTensor, ViewData
 from conftest import make_blobs, make_dense, make_tensor
 from oracles import (
+    adam_descend_every_entry,
     adam_descend_reference,
     descent_objective,
-    expected_loss_gradient_reference,
     reg_loss_reference,
 )
 
@@ -115,21 +115,72 @@ def test_fit_merges_split_columns_on_three_blobs():
     assert state.loss_history[-1] == reg_loss(state, S)
 
 
+def _recording(descend, calls):
+    """descend, appending (input logits, gamma) of every M step to calls."""
+    def wrapped(logits, precomp, config, n_reg):
+        calls.append((logits.copy(), precomp.gamma.copy()))
+        return descend(logits, precomp, config, n_reg)
+    return wrapped
+
+
 def test_fit_with_dying_entries_matches_full_catalog_gradient(monkeypatch):
     # d=4 over 6 random views: entries die at EM iterations 4 and 6 and one
-    # is left live.  The M step computes the data gradient of live entries
-    # only; the fit must equal, bit for bit, one whose gradient covers every
-    # entry.  The cap stops both fits before any column merge.
+    # is left live.  The M step descends the live entries only; under the
+    # cap, the live logits, eta and lambda must equal, bit for bit, those
+    # of a fit whose M step descends every entry, and each dead entry keeps
+    # the logits it had at the M step where its gamma first reached 0.
+    # The cap stops both fits before any column merge.
     S = make_tensor(0, n_views=6, n=10)
     config = ModelConfig(d=4, g=3, seed=0, m_iters=10, max_iters=12)
     state = fit(S, config)
     assert state.converged_by == "cap"
-    assert int((state.lam > 0.0).sum()) == 1
-    monkeypatch.setattr(model, "expected_loss_gradient", expected_loss_gradient_reference)
+    live = state.lam > 0.0
+    assert int(live.sum()) == 1
+    calls = []
+    monkeypatch.setattr(model, "_adam_descend", _recording(adam_descend_every_entry, calls))
     reference = fit(S, config)
-    assert state.loss_history == reference.loss_history
-    np.testing.assert_array_equal(state.logits, reference.logits)
+    assert reference.converged_by == "cap"
+    np.testing.assert_array_equal(state.logits[live], reference.logits[live])
     np.testing.assert_array_equal(state.eta, reference.eta)
+    np.testing.assert_array_equal(state.lam, reference.lam)
+    for l in np.nonzero(~live)[0]:
+        died = next(logits for logits, gamma in calls if gamma[l] == 0.0)
+        np.testing.assert_array_equal(state.logits[l], died[l])
+        assert not np.array_equal(reference.logits[l], died[l])  # the oracle moved it
+
+
+def _two_structure_views():
+    # two views of two blobs and two of three blobs: with d=2 each group
+    # keeps its own catalog entry through the fit
+    three = ((0.0, 0.0), (6.0, 6.0), (-6.0, 6.0))
+    views = [ViewData(make_blobs(s, n_per=15)[0]) for s in (0, 1)]
+    views += [ViewData(make_blobs(s, n_per=10, centers=three)[0]) for s in (2, 3)]
+    return SimilarityTensor.from_views(views, q=0.1)
+
+
+def test_fit_without_dead_entries_equals_every_entry_descent(monkeypatch):
+    # when no entry loses all its mass the live-only M step is the full
+    # one: a d=1 fit (with a kept merge) and a d=2 fit whose entries both
+    # keep gamma > 0 equal, bit for bit, the fits that descend every entry
+    cases = [
+        (_three_blobs()[0], ModelConfig(d=1, g=6, seed=0)),
+        (_two_structure_views(), ModelConfig(d=2, g=4, seed=0)),
+    ]
+    states = []
+    for S, config in cases:
+        calls = []
+        monkeypatch.setattr(model, "_adam_descend", _recording(model._adam_descend, calls))
+        states.append(fit(S, config))
+        monkeypatch.undo()
+        assert all(np.all(gamma > 0.0) for _, gamma in calls)
+    monkeypatch.setattr(model, "_adam_descend", adam_descend_every_entry)
+    for (S, config), state in zip(cases, states):
+        reference = fit(S, config)
+        assert state.converged
+        assert state.loss_history == reference.loss_history
+        np.testing.assert_array_equal(state.logits, reference.logits)
+        np.testing.assert_array_equal(state.eta, reference.eta)
+        np.testing.assert_array_equal(state.lam, reference.lam)
 
 
 def test_fit_stops_after_first_step_below_the_rate():
