@@ -37,9 +37,8 @@ from .partition import (
 )
 from .postprocess import (
     ConsensusResult,
-    ViewEstimate,
+    EntryEstimate,
     consensus_matrix,
-    effective_counts,
     spectral_labels,
     view_estimates,
 )
@@ -50,18 +49,17 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "ConsensusResult",
+    "EntryEstimate",
     "FitDivergedError",
     "FitState",
     "ModelConfig",
     "SimilarityTensor",
     "ViewData",
-    "ViewEstimate",
     "bound_rhs",
     "canonicalize_labels",
     "coassignment_matrix",
     "consensus_matrix",
     "consensus_views",
-    "effective_counts",
     "fit",
     "initialize",
     "kl_bernoulli",

@@ -20,7 +20,7 @@ from .datagen import consensus_views, multi_view, screen_columns, single_view
 from .metrics import mad, nmi
 from .model import ModelConfig, fit, save_fit_state
 from .partition import verify_theorem
-from .postprocess import consensus_matrix, effective_counts, view_estimates
+from .postprocess import consensus_matrix, view_estimates
 from .similarity import DEFAULT_QUANTILE, SimilarityTensor, ViewData
 
 FLOAT_FMT = "%.17g"
@@ -217,28 +217,23 @@ def cmd_fit(args) -> None:
     model_keys = {f.name for f in fields(ModelConfig)}
     config = ModelConfig(**{k: v for k, v in opts.items() if k in model_keys and v is not None})
     state = fit(S, config)
-    estimates = view_estimates(state, seed=config.seed)
-    cons = consensus_matrix(state, estimates)
-    d_hat, _ = effective_counts(state)
+    x_hat, estimates = view_estimates(state, seed=config.seed)
+    cons = consensus_matrix(x_hat, estimates)
+    views = [estimates[x] for x in x_hat]
 
     outdir = _outdir(args)
     names: list = []
     save_fit_state(state, outdir / "fit_state.json")
     names.append("fit_state.json")
-    x_hat = np.array([est.x_hat for est in estimates])
     _save_csv(outdir, "x_hat.csv", x_hat, "%d", names)
-    _save_csv(outdir, "g_hat.csv", np.array([est.g_hat for est in estimates]), "%d", names)
-    _save_csv(outdir, "labels_joint.csv", np.stack([est.labels_joint for est in estimates]), "%d", names)
-    _save_csv(outdir, "labels_pointwise.csv", np.stack([est.labels_pointwise for est in estimates]), "%d", names)
+    _save_csv(outdir, "g_hat.csv", np.array([est.g_hat for est in views]), "%d", names)
+    _save_csv(outdir, "labels_joint.csv", np.stack([est.labels_joint for est in views]), "%d", names)
+    _save_csv(outdir, "labels_pointwise.csv", np.stack([est.labels_pointwise for est in views]), "%d", names)
     _save_csv(outdir, "lambda.csv", state.lam, FLOAT_FMT, names)
     _save_csv(outdir, "eta.csv", state.eta, FLOAT_FMT, names)
     _save_csv(outdir, "loss_history.csv", np.asarray(state.loss_history), FLOAT_FMT, names)
-    seen = {}
-    for est in estimates:
-        if est.x_hat not in seen:
-            seen[est.x_hat] = est.p_hat
-    for x in sorted(seen):
-        _save_csv(outdir, f"p_hat_param_{x}.csv", seen[x], FLOAT_FMT, names)
+    for x, est in estimates.items():
+        _save_csv(outdir, f"p_hat_param_{x}.csv", est.p_hat, FLOAT_FMT, names)
     _save_csv(outdir, "p_bar.csv", cons.matrix, FLOAT_FMT, names)
     _save_csv(outdir, "consensus_weights.csv", cons.weights.astype(int), "%d", names)
     summary = [
@@ -246,7 +241,7 @@ def cmd_fit(args) -> None:
         ("n_views", S.n_views),
         ("d", config.d),
         ("g", config.g),
-        ("d_hat", d_hat),
+        ("d_hat", len(estimates)),
         ("iterations", state.iterations),
         ("converged", str(state.converged).lower()),
         ("converged_by", state.converged_by),

@@ -40,12 +40,6 @@ class KMeansResult:
     inertia: float
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _sq_dists_to(points: np.ndarray, sq_norms: np.ndarray, idx: int) -> np.ndarray:
     """Squared distances from every point to point idx, in the
     |x|^2 - 2 x.c + |c|^2 form of Lloyd's loop, clamped at 0."""
@@ -72,7 +66,7 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > m:
         raise ValueError(f"k = {k} exceeds the number of points ({m})")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n_trials = 2 + int(np.log(k))
 
     sq_norms = pair_row_sums(points, lambda x, out: np.multiply(x, x, out=out))
@@ -141,7 +135,7 @@ def init_assignment(S: SimilarityTensor, d: int, seed) -> InitResult:
 def initialize(S: SimilarityTensor, config: ModelConfig, seed) -> FitState:
     """Initial FitState: one-hot eta from K-means, uniform lambda, logits at
     small uniform noise refined by one lambda-preserving M step."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     init = init_assignment(S, config.d, rng)
     logits = rng.uniform(-INIT_NOISE, INIT_NOISE, size=(config.d, S.n_items, config.g))
     state = FitState(config=config, logits=logits, lam=init.lambda0, eta=init.eta0,

@@ -75,6 +75,12 @@ class ModelConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.alpha_lambda is not None and self.alpha_lambda <= 0.0:
             raise ValueError(f"alpha_lambda must be positive, got {self.alpha_lambda}")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+        if not 0.0 <= self.rel_tol < np.inf:
+            raise ValueError(f"rel_tol must be >= 0 and finite, got {self.rel_tol}")
+        if self.n_reg_multiplier is not None and not 0.0 <= self.n_reg_multiplier < np.inf:
+            raise ValueError(f"n_reg_multiplier must be >= 0 and finite, got {self.n_reg_multiplier}")
 
     @property
     def alpha(self) -> float:
@@ -388,12 +394,14 @@ def fit(S: SimilarityTensor, config: ModelConfig) -> FitState:
     within the same max_iters budget, and the merge step follows its
     next convergence; if the resumed run ends above the loss it started
     from, the state from before the merges is returned.  loss_history
-    keeps one entry per EM iteration.  The restart with the lowest final
-    reg_loss wins.
+    keeps one entry per EM iteration.  The restart with the lowest live
+    loss wins: the final reg_loss minus n_reg R(W_l) of every entry with
+    lambda_l = 0, whose frozen penalty depends only on when it died.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
     n_reg = config.reg_multiplier(S.n_items)
     best: FitState | None = None
+    best_loss = np.inf
     last_error: Exception | None = None
     for child in children:
         try:
@@ -401,8 +409,11 @@ def fit(S: SimilarityTensor, config: ModelConfig) -> FitState:
         except FitDivergedError as err:
             last_error = err
             continue
-        if best is None or state.loss_history[-1] < best.loss_history[-1]:
-            best = state
+        W = state.weights
+        dead = sum(group_regularizer(W[l], config.epsilon) for l in np.nonzero(state.lam == 0.0)[0])
+        loss = state.loss_history[-1] - n_reg * dead
+        if loss < best_loss:
+            best, best_loss = state, loss
     if best is None:
         raise FitDivergedError(f"every restart diverged; last error: {last_error}")
     return best

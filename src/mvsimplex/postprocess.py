@@ -1,5 +1,6 @@
-"""Point estimates from a fitted state: per-view parameterizations, cluster
-labels, co-assignment matrices, and the consensus across structured views."""
+"""Point estimates from a fitted state: each view's catalog entry, each
+fitted entry's cluster labels and co-assignment matrix, and the consensus
+across structured views."""
 
 from __future__ import annotations
 
@@ -9,11 +10,6 @@ import numpy as np
 
 from .initialization import kmeans_pp
 from .model import FitState, coassignment_matrix
-
-
-def param_assignments(eta: np.ndarray) -> np.ndarray:
-    """Most probable parameterization per view (ties to the lowest index)."""
-    return eta.argmax(axis=1)
 
 
 def pointwise_labels(weights: np.ndarray, epsilon: float | None = None) -> np.ndarray:
@@ -27,16 +23,6 @@ def pointwise_labels(weights: np.ndarray, epsilon: float | None = None) -> np.nd
         w = w.copy()
         w[:, w.max(axis=0) <= epsilon] = 0.0
     return w.argmax(axis=1)
-
-
-def effective_counts(state: FitState) -> tuple[int, np.ndarray]:
-    """(d_hat, g_hat per view): the number of distinct fitted
-    parameterizations and each view's distinct pointwise label count."""
-    x_hat = param_assignments(state.eta)
-    d_hat = int(np.unique(x_hat).size)
-    weights = state.weights
-    g_hats = np.array([np.unique(pointwise_labels(weights[x])).size for x in x_hat])
-    return d_hat, g_hats
 
 
 def spectral_labels(P: np.ndarray, g: int, seed) -> np.ndarray:
@@ -78,43 +64,39 @@ def spectral_labels(P: np.ndarray, g: int, seed) -> np.ndarray:
 
 
 @dataclass
-class ViewEstimate:
-    """Per-view point estimates."""
+class EntryEstimate:
+    """Point estimates of one fitted catalog entry, shared by every view
+    whose x_hat is that entry."""
 
-    view: int                    # 0-based view index
-    x_hat: int                   # fitted parameterization index
+    p_hat: np.ndarray
     g_hat: int                   # distinct pointwise label count
     labels_pointwise: np.ndarray
     labels_joint: np.ndarray     # spectral labels on p_hat with g_hat groups
-    p_hat: np.ndarray
+    structured: bool             # > 1 pointwise label once columns <= epsilon are zeroed
 
 
-def view_estimates(state: FitState, seed=0) -> list[ViewEstimate]:
-    """Point estimates for every view.
+def view_estimates(state: FitState, seed=0) -> tuple[np.ndarray, dict[int, EntryEstimate]]:
+    """(x_hat, estimates): each view's most probable entry (ties to the
+    lowest index) and, in ascending entry order, one EntryEstimate for
+    every entry in x_hat.
 
-    Views sharing a parameterization share the same p_hat and labels; the
-    spectral K-means seed is derived per parameterization, so equal inputs
-    give equal outputs.
+    Entry x's spectral K-means seed is SeedSequence(seed).spawn(d)[x].
     """
-    x_hat = param_assignments(state.eta)
+    x_hat = state.eta.argmax(axis=1)
     weights = state.weights
+    eps = state.config.epsilon
     children = np.random.SeedSequence(seed).spawn(weights.shape[0])
-    per_param: dict[int, tuple] = {}
-    out = []
-    for v, x in enumerate(x_hat):
-        x = int(x)
-        if x not in per_param:
-            w = weights[x]
-            p_hat = coassignment_matrix(w)
-            pointwise = pointwise_labels(w)
-            g_hat = int(np.unique(pointwise).size)
-            joint = spectral_labels(p_hat, g_hat, children[x])
-            per_param[x] = (p_hat, pointwise, g_hat, joint)
-        p_hat, pointwise, g_hat, joint = per_param[x]
-        out.append(ViewEstimate(view=v, x_hat=x, g_hat=g_hat,
-                                labels_pointwise=pointwise.copy(),
-                                labels_joint=joint.copy(), p_hat=p_hat))
-    return out
+    estimates = {}
+    for x in np.unique(x_hat).tolist():
+        w = weights[x]
+        p_hat = coassignment_matrix(w)
+        pointwise = pointwise_labels(w)
+        g_hat = int(np.unique(pointwise).size)
+        estimates[x] = EntryEstimate(
+            p_hat=p_hat, g_hat=g_hat, labels_pointwise=pointwise,
+            labels_joint=spectral_labels(p_hat, g_hat, children[x]),
+            structured=np.unique(pointwise_labels(w, eps)).size > 1)
+    return x_hat, estimates
 
 
 @dataclass
@@ -124,27 +106,21 @@ class ConsensusResult:
     plain_average: bool          # True when no view had structure
 
 
-def structure_cluster_count(weights: np.ndarray, epsilon: float) -> int:
-    """Distinct pointwise labels after zeroing fully shrunk columns."""
-    return int(np.unique(pointwise_labels(weights, epsilon)).size)
+def consensus_matrix(x_hat: np.ndarray, estimates: dict[int, EntryEstimate]) -> ConsensusResult:
+    """Structure-weighted average of the per-view co-assignment matrices,
+    view v contributing the p_hat of its entry x_hat[v].
 
-
-def consensus_matrix(state: FitState, estimates: list[ViewEstimate]) -> ConsensusResult:
-    """Structure-weighted average of the per-view co-assignment matrices.
-
-    A view counts only if its parameterization clusters the items into more
-    than one group (all-in-one-column W matrices carry no structure).  If no
-    view counts, the plain average is returned and flagged.  Each view's
-    weighted p_hat is added in view order into one (n, n) accumulator.
+    A view counts only if its entry is structured (all-in-one-column W
+    matrices carry no structure).  If no view counts, the plain average is
+    returned and flagged.  Each view's weighted p_hat is added in view
+    order into one (n, n) accumulator.
     """
-    eps = state.config.epsilon
-    w3 = state.weights
-    u = np.array([1.0 if structure_cluster_count(w3[est.x_hat], eps) > 1 else 0.0
-                  for est in estimates])
+    views = [estimates[x] for x in x_hat]
+    u = np.array([est.structured for est in views], dtype=float)
     plain = not u.any()
     weights = np.ones_like(u) if plain else u
-    matrix = np.zeros_like(estimates[0].p_hat)
-    for w, est in zip(weights, estimates):
+    matrix = np.zeros_like(views[0].p_hat)
+    for w, est in zip(weights, views):
         matrix += w * est.p_hat
     matrix /= weights.sum()
     return ConsensusResult(matrix=matrix, weights=u, plain_average=plain)

@@ -30,13 +30,7 @@ from mvsimplex.partition import (
     sample_partition_labels,
     verify_theorem,
 )
-from mvsimplex.postprocess import (
-    consensus_matrix,
-    effective_counts,
-    param_assignments,
-    spectral_labels,
-    view_estimates,
-)
+from mvsimplex.postprocess import consensus_matrix, spectral_labels, view_estimates
 from mvsimplex.similarity import SimilarityTensor, ViewData, similarity_matrix
 
 from conftest import make_dense, make_tensor
@@ -85,7 +79,8 @@ def table_runs():
             view, z = single_view(setting, 400, seed)
             S = SimilarityTensor.from_views([view], q=0.1)
             state = fit(S, ModelConfig(d=1, g=2, seed=seed))
-            est = view_estimates(state, seed=seed)[0]
+            _, ests = view_estimates(state, seed=seed)
+            est = ests[0]
             rows["nmi"].append(nmi(est.labels_pointwise, z))
             rows["mad"].append(mad(est.p_hat, oracle_coassignment(view.values, logps, wts)))
             rows["spectral"].append(nmi(spectral_labels(similarity_matrix(view, q=0.1), 2, seed), z))
@@ -107,7 +102,7 @@ def multiview_runs():
         state = fit(S, ModelConfig(d=10, g=10, seed=seed))
         rows.append({
             "init_nmi": nmi(state.init_assignment, x0),
-            "final_nmi": nmi(param_assignments(state.eta), x0),
+            "final_nmi": nmi(view_estimates(state, seed=seed)[0], x0),
             "active": int((state.lam > 0.01).sum()),
         })
     return {"rows": rows, "elapsed": time.time() - t0}
@@ -153,7 +148,8 @@ def test_criterion_04_overfitted_cluster_count():
         y = centers[z] + rng.standard_normal((100, 2))
         S = SimilarityTensor.from_views([ViewData(y)], q=0.1)
         state = fit(S, ModelConfig(d=1, g=10, seed=seed))
-        hits.append(int(effective_counts(state)[1][0]))
+        _, ests = view_estimates(state, seed=seed)
+        hits.append(ests[0].g_hat)
     ok = sum(g == 3 for g in hits) >= 4
     report(4, ok, "fitted cluster counts with g=10 on 3-cluster data: %s "
                   "(need g_hat=3 on >=4/5 seeds)" % hits)
@@ -179,7 +175,7 @@ def test_criterion_06_consensus_structure():
     views, labels, _ = consensus_views(200, seed=0)
     S = SimilarityTensor.from_views(views, q=0.1)
     state = fit(S, ModelConfig(d=10, g=10, seed=0))
-    cons = consensus_matrix(state, view_estimates(state))
+    cons = consensus_matrix(*view_estimates(state))
     u = cons.weights.astype(int)
     val = nmi(spectral_labels(cons.matrix, 3, seed=0), labels[1])
     # the groups overlap at unit noise: the consensus of the two structured

@@ -109,6 +109,42 @@ class TestFit:
         weights = np.loadtxt(out / "consensus_weights.csv", delimiter=",", ndmin=1)
         assert weights.tolist() == [1]
 
+    def test_views_on_two_entries_share_entry_estimates(self, tmp_path):
+        sim, out = tmp_path / "sim", tmp_path / "fit"
+        assert run("simulate", "--out", sim, "--kind", "multi", "--n", 30, "--v", 6,
+                   "--d0", 2, "--seed", 3) == 0
+        assert run("fit", "--data", sim / "data.csv", "--out", out,
+                   "--views", "width:2", "--d", 3, "--g", 3, "--seed", 0) == 0
+        x_hat = np.loadtxt(out / "x_hat.csv", dtype=int)
+        entries = sorted(set(x_hat.tolist()))
+        assert len(entries) >= 2
+        written = sorted(int(p.stem.rsplit("_", 1)[1]) for p in out.glob("p_hat_param_*.csv"))
+        assert written == entries
+        assert f"d_hat = {len(entries)}" in read_lines(out / "summary.txt")
+        g_hat = np.loadtxt(out / "g_hat.csv", dtype=int)
+        joint = np.loadtxt(out / "labels_joint.csv", delimiter=",", dtype=int)
+        pointwise = np.loadtxt(out / "labels_pointwise.csv", delimiter=",", dtype=int)
+        for x in entries:
+            views = np.nonzero(x_hat == x)[0]
+            for rows in (g_hat, joint, pointwise):
+                assert (rows[views] == rows[views[0]]).all()
+        p_hat = {x: np.loadtxt(out / f"p_hat_param_{x}.csv", delimiter=",") for x in entries}
+        u = np.loadtxt(out / "consensus_weights.csv", delimiter=",", dtype=int)
+        assert u.any()
+        want = sum(u[v] * p_hat[x] for v, x in enumerate(x_hat)) / u.sum()
+        np.testing.assert_allclose(np.loadtxt(out / "p_bar.csv", delimiter=","), want,
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "nan"), ("--rel-tol", "-1"),
+                                             ("--step-size", "-0.01"), ("--step-size", "inf")])
+    def test_settings_that_break_the_fit_fail(self, tmp_path, capsys, flag, value):
+        data_csv = tmp_path / "data.csv"
+        write_blob_csv(data_csv)
+        assert run("fit", "--data", data_csv, "--out", tmp_path / "o",
+                   "--views", "0-1", "--d", 1, "--g", 3, flag, value) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_d_g_fails(self, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"
         write_blob_csv(data_csv)

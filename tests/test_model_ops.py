@@ -209,7 +209,15 @@ def test_model_config_validation_and_defaults():
     assert ModelConfig(d=4, g=3, alpha_lambda=1.0).alpha == 1.0
     for bad in (dict(d=0, g=2), dict(d=1, g=0), dict(d=1, g=2, restarts=0),
                 dict(d=1, g=2, epsilon=0.0), dict(d=1, g=2, alpha_lambda=-1.0),
-                dict(d=1, g=2, m_iters=0)):
+                dict(d=1, g=2, m_iters=0), dict(d=1, g=2, step_size=0.0),
+                dict(d=1, g=2, step_size=-0.01), dict(d=1, g=2, step_size=np.inf),
+                dict(d=1, g=2, step_size=np.nan), dict(d=1, g=2, rel_tol=-1.0),
+                dict(d=1, g=2, rel_tol=np.nan), dict(d=1, g=2, rel_tol=np.inf),
+                dict(d=1, g=2, n_reg_multiplier=-1.0),
+                dict(d=1, g=2, n_reg_multiplier=np.nan),
+                dict(d=1, g=2, n_reg_multiplier=np.inf)):
         with pytest.raises(ValueError):
             ModelConfig(**bad)
+    # the boundary values stay valid
+    assert ModelConfig(d=1, g=2, rel_tol=0.0, n_reg_multiplier=0.0).rel_tol == 0.0
 

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from mvsimplex import model
+from mvsimplex.datagen import multi_view
 from mvsimplex.metrics import nmi
 from mvsimplex.model import (
     FitState,
     ModelConfig,
+    dirichlet_penalty,
     eta_from_divergences,
     fit,
+    group_regularizer,
     load_fit_state,
     m_step,
     precompute_kappa_gamma,
@@ -109,7 +112,8 @@ def _relative_decreases(history):
 def test_fit_merges_split_columns_on_three_blobs():
     S, z = _three_blobs()
     state = fit(S, ModelConfig(d=1, g=6, seed=0))
-    est = view_estimates(state, seed=0)[0]
+    _, ests = view_estimates(state, seed=0)
+    est = ests[0]
     assert est.g_hat == 3
     assert nmi(est.labels_pointwise, z) == pytest.approx(1.0)
     assert state.loss_history[-1] == reg_loss(state, S)
@@ -249,7 +253,8 @@ def test_fit_loss_history_is_finite_and_mostly_decreasing():
 
 def test_fit_two_blobs_perfect_labels(two_blob_fit):
     S, state, labels = two_blob_fit
-    est = view_estimates(state, seed=0)[0]
+    _, ests = view_estimates(state, seed=0)
+    est = ests[0]
     assert nmi(est.labels_joint, labels) == pytest.approx(1.0)
     assert est.g_hat == 2
 
@@ -270,6 +275,29 @@ def test_fit_restarts_never_worse_than_single():
     single = fit(S, ModelConfig(d=2, g=3, seed=3, max_iters=30))
     multi = fit(S, ModelConfig(d=2, g=3, seed=3, max_iters=30, restarts=3))
     assert multi.loss_history[-1] <= single.loss_history[-1] + 1e-9
+
+
+def test_restart_choice_leaves_out_frozen_penalties_of_dead_entries():
+    # restart 0 ends with the lower reg_loss, restart 1 with the lower loss
+    # once the frozen group penalties of its lambda = 0 entries are left out
+    views, _, _ = multi_view(n=30, v=8, d0=2, g0=3, seed=0)
+    S = SimilarityTensor.from_views(views, q=0.1)
+    cfg = ModelConfig(d=6, g=3, seed=0, restarts=2)
+    n_reg = cfg.reg_multiplier(S.n_items)
+    runs = [model._fit_single(S, cfg, child, n_reg)
+            for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
+
+    def live_loss(st):
+        W = st.weights
+        data = float((st.eta * view_divergences(st.logits, S)).sum())
+        live_reg = sum(group_regularizer(W[l], cfg.epsilon) for l in np.nonzero(st.lam > 0.0)[0])
+        return data + n_reg * live_reg + dirichlet_penalty(st.lam, cfg.alpha)
+
+    assert np.argmin([st.loss_history[-1] for st in runs]) == 0
+    assert np.argmin([live_loss(st) for st in runs]) == 1
+    best = fit(S, cfg)
+    np.testing.assert_array_equal(best.logits, runs[1].logits)
+    assert best.loss_history == runs[1].loss_history
 
 
 def test_divergence_matrix_shape():
@@ -316,5 +344,6 @@ def test_fit_on_clean_single_view_is_stable_across_restart_seeds():
     S = SimilarityTensor.from_views([ViewData(pts)])
     for seed in (0, 1):
         state = fit(S, ModelConfig(d=1, g=2, seed=seed))
-        est = view_estimates(state, seed=seed)[0]
+        _, ests = view_estimates(state, seed=seed)
+        est = ests[0]
         assert nmi(est.labels_pointwise, labels) == pytest.approx(1.0)

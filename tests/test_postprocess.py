@@ -9,11 +9,8 @@ from mvsimplex.model import FitState, ModelConfig, coassignment_matrix, fit
 from mvsimplex.postprocess import (
     ConsensusResult,
     consensus_matrix,
-    effective_counts,
-    param_assignments,
     pointwise_labels,
     spectral_labels,
-    structure_cluster_count,
     view_estimates,
 )
 from mvsimplex.similarity import SimilarityTensor, ViewData
@@ -37,19 +34,27 @@ def state_from_weights(weights, eta, lam=None, g=None):
                     eta=eta)
 
 
+def x_hat_of(eta):
+    """view_estimates' x_hat for eta over d = eta.shape[1] two-block entries."""
+    eta = np.asarray(eta, dtype=float)
+    w = np.array([[0.9, 0.1], [0.1, 0.9]])
+    x_hat, _ = view_estimates(state_from_weights([w] * eta.shape[1], eta), seed=0)
+    return x_hat
+
+
 class TestParamAssignments:
     def test_argmax_rows(self):
         eta = np.array([[0.1, 0.7, 0.2], [0.6, 0.3, 0.1]])
-        assert param_assignments(eta).tolist() == [1, 0]
+        assert x_hat_of(eta).tolist() == [1, 0]
 
     def test_tie_goes_to_lowest_index(self):
         eta = np.array([[0.4, 0.4, 0.2]])
-        assert param_assignments(eta).tolist() == [0]
+        assert x_hat_of(eta).tolist() == [0]
 
     def test_most_probable_param_matches(self):
         eta = np.array([[0.2, 0.8], [0.9, 0.1]])
-        assert param_assignments(eta)[0] == 1
-        assert param_assignments(eta)[1] == 0
+        assert x_hat_of(eta)[0] == 1
+        assert x_hat_of(eta)[1] == 0
 
 
 class TestPointwiseLabels:
@@ -85,17 +90,17 @@ class TestEffectiveCounts:
         w1 = np.array([[0.98, 0.01, 0.01], [0.98, 0.01, 0.01], [0.98, 0.01, 0.01]])
         eta = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
         st = state_from_weights([w0, w1], eta)
-        d_hat, g_hats = effective_counts(st)
-        assert d_hat == 2
-        assert g_hats.tolist() == [2, 1, 2]
+        x_hat, ests = view_estimates(st, seed=0)
+        assert len(ests) == 2
+        assert [ests[x].g_hat for x in x_hat] == [2, 1, 2]
 
     def test_unused_param_not_counted(self):
         w = np.array([[0.9, 0.1], [0.1, 0.9]])
         eta = np.array([[0.8, 0.2], [0.7, 0.3]])  # nobody picks param 1
         st = state_from_weights([w, w[::-1]], eta)
-        d_hat, g_hats = effective_counts(st)
-        assert d_hat == 1
-        assert len(g_hats) == 2
+        x_hat, ests = view_estimates(st, seed=0)
+        assert list(ests) == [0]
+        assert len(x_hat) == 2
 
 
 def two_block_p(n, p_in=0.95, p_out=0.03):
@@ -164,26 +169,19 @@ class TestViewEstimates:
         w1 = np.array([[0.5, 0.5], [0.6, 0.4], [0.5, 0.5]])
         eta = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9]])
         st = state_from_weights([w0, w1], eta)
-        ests = view_estimates(st, seed=0)
-        assert [e.view for e in ests] == [0, 1, 2]
-        assert [e.x_hat for e in ests] == [0, 0, 1]
-        np.testing.assert_array_equal(ests[0].p_hat, ests[1].p_hat)
-        np.testing.assert_array_equal(ests[0].labels_joint, ests[1].labels_joint)
+        x_hat, ests = view_estimates(st, seed=0)
+        assert x_hat.tolist() == [0, 0, 1]
+        assert list(ests) == [0, 1]
+        assert ests[x_hat[0]] is ests[x_hat[1]]
         np.testing.assert_allclose(ests[0].p_hat, coassignment_matrix(w0), rtol=1e-12)
-
-    def test_label_arrays_are_independent_copies(self):
-        w = np.array([[0.9, 0.1], [0.1, 0.9]])
-        eta = np.array([[1.0, 0.0], [1.0, 0.0]])
-        st = state_from_weights([w, w], eta)
-        ests = view_estimates(st, seed=0)
-        ests[0].labels_pointwise[0] = 99
-        assert ests[1].labels_pointwise[0] != 99
+        np.testing.assert_allclose(ests[1].p_hat, coassignment_matrix(w1), rtol=1e-12)
 
     def test_g_hat_counts_distinct_labels(self):
         w = np.array([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.9, 0.05, 0.05]])
         eta = np.array([[1.0]])
         st = state_from_weights([w], eta[:, :1])
-        est = view_estimates(st, seed=0)[0]
+        _, ests = view_estimates(st, seed=0)
+        est = ests[0]
         assert est.g_hat == 2
         assert len(np.unique(est.labels_joint)) == 2
 
@@ -198,8 +196,8 @@ class TestConsensus:
 
     def test_unstructured_views_excluded(self):
         st = self.make_state()
-        ests = view_estimates(st, seed=0)
-        res = consensus_matrix(st, ests)
+        x_hat, ests = view_estimates(st, seed=0)
+        res = consensus_matrix(x_hat, ests)
         assert isinstance(res, ConsensusResult)
         assert res.weights.tolist() == [1.0, 1.0, 0.0]
         assert not res.plain_average
@@ -210,7 +208,7 @@ class TestConsensus:
         flat = np.array([[1.0 - 1e-4, 1e-4]] * 3)
         eta = np.array([[0.6, 0.4], [0.3, 0.7]])
         st = state_from_weights([flat, flat.copy()], eta)
-        res = consensus_matrix(st, view_estimates(st, seed=0))
+        res = consensus_matrix(*view_estimates(st, seed=0))
         assert res.plain_average
         assert res.weights.tolist() == [0.0, 0.0]
         stack = [coassignment_matrix(st.weights[0]), coassignment_matrix(st.weights[1])]
@@ -228,27 +226,32 @@ class TestConsensus:
                 weights = [rng.dirichlet(np.ones(g), size=n) for _ in range(n_structured)]
                 weights += [flat] * (d - n_structured)
                 st = state_from_weights(weights, rng.dirichlet(np.ones(d), size=n_views))
-                ests = view_estimates(st, seed=0)
-                res = consensus_matrix(st, ests)
+                x_hat, ests = view_estimates(st, seed=0)
+                res = consensus_matrix(x_hat, ests)
                 if n_structured:
                     assert 0.0 < res.weights.sum() < n_views
                 else:
                     assert res.plain_average
-                want = consensus_reference([est.p_hat for est in ests], res.weights)
+                want = consensus_reference([ests[x].p_hat for x in x_hat], res.weights)
                 assert np.array_equal(res.matrix, want)
 
     def test_consensus_is_convex_combination(self):
         st = self.make_state()
-        res = consensus_matrix(st, view_estimates(st, seed=0))
+        res = consensus_matrix(*view_estimates(st, seed=0))
         assert res.matrix.min() >= 0.0
         assert res.matrix.max() <= 1.0
         np.testing.assert_allclose(res.matrix, res.matrix.T)
 
     def test_structure_cluster_count(self):
+        # at ModelConfig's default epsilon = 1e-3, w's second column is
+        # fully shrunk, so w has one label; w2 keeps two
         w = np.array([[0.999, 5e-4], [0.9995, 1e-4]])
-        assert structure_cluster_count(w, epsilon=1e-3) == 1
         w2 = np.array([[0.9, 0.1], [0.1, 0.9]])
-        assert structure_cluster_count(w2, epsilon=1e-3) == 2
+        st = state_from_weights([w, w2], np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert st.config.epsilon == 1e-3
+        _, ests = view_estimates(st, seed=0)
+        assert not ests[0].structured
+        assert ests[1].structured
 
 
 class TestShrinkageMonotonicity:
@@ -263,6 +266,7 @@ class TestShrinkageMonotonicity:
         counts = []
         for mult in (0.25, 1.0, 16.0):
             st = fit(S, ModelConfig(d=1, g=6, seed=0, n_reg_multiplier=mult))
-            counts.append(effective_counts(st)[1][0])
+            x_hat, ests = view_estimates(st, seed=0)
+            counts.append(ests[x_hat[0]].g_hat)
         assert counts[0] >= counts[1] >= counts[2]
         assert counts[2] < counts[0]
