@@ -9,10 +9,11 @@ expected loss and the mixture weights move to their posterior mode (M step).
 The fitted objective is
 
     reg_loss = sum_{v,l} eta_vl sum_{j<i} kl(p*_ij^(l), s_ij^(v))
-             + n_reg * sum_l R(W^(l)) + sum_l (1 - alpha) log(lambda_l)
+             + sum_{l: lambda_l > 0} [n_reg R(W^(l)) + (1 - alpha) log(lambda_l)]
 
 with kl the Bernoulli Kullback-Leibler divergence, R a column-wise group
 penalty on log(w/epsilon) excesses, and alpha the Dirichlet concentration.
+An entry with lambda_l = 0 is out of the model and adds no penalty.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ from dataclasses import dataclass, field, asdict, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .similarity import SimilarityTensor, pair_indices
 
 GROUP_SMOOTHING = 1e-12
-LAMBDA_FLOOR = 1e-12
 INIT_NOISE = 1e-2
 MERGE_DROP = 1.0
 ADAM_BETA1 = 0.9
@@ -128,6 +127,10 @@ def kl_bernoulli(p, s):
 
     p may touch {0, 1}; s must stay strictly inside (0, 1).
     """
+    # imported here: scipy.special takes about two thirds of the package's
+    # import time, and no fit calls this
+    from scipy.special import xlogy
+
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(p < 0.0) or np.any(p > 1.0):
@@ -160,10 +163,10 @@ def group_regularizer(weights: np.ndarray, epsilon: float) -> float:
 
 
 def dirichlet_penalty(lam: np.ndarray, alpha: float) -> float:
-    """Negative log Dirichlet(alpha) kernel, sum_l (1 - alpha) log(lambda_l),
-    with lambda floored at 1e-12 inside the log."""
-    lam = np.maximum(np.asarray(lam, dtype=float), LAMBDA_FLOOR)
-    return float((1.0 - alpha) * np.log(lam).sum())
+    """Negative log Dirichlet(alpha) kernel over the entries in the model,
+    sum_{l: lambda_l > 0} (1 - alpha) log(lambda_l)."""
+    lam = np.asarray(lam, dtype=float)
+    return float((1.0 - alpha) * np.log(lam[lam > 0.0]).sum())
 
 
 class PairWorkspace(NamedTuple):
@@ -336,26 +339,23 @@ def m_step(state: FitState, precomp: KappaGamma, n_reg: float,
 
 def eta_from_divergences(divergences: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Responsibilities eta_vl proportional to lambda_l exp(-D_vl), computed
-    in log space with a per-view max subtraction.  A zero lambda forces an
-    exact zero column."""
+    in log space with a per-view max subtraction.  A zero lambda (log -inf)
+    gives an exact zero column."""
     lam = np.asarray(lam, dtype=float)
-    alive = lam > 0.0
-    if not alive.any():
+    if not (lam > 0.0).any():
         raise ValueError("all mixture weights are zero")
-    log_lam = np.full(lam.shape, -np.inf)
-    log_lam[alive] = np.log(lam[alive])
-    log_eta = log_lam[None, :] - divergences
-    log_eta[:, ~alive] = -np.inf
+    with np.errstate(divide="ignore"):
+        log_eta = np.log(lam)[None, :] - divergences
     log_eta -= log_eta.max(axis=1, keepdims=True)
     eta = np.exp(log_eta)
-    eta[:, ~alive] = 0.0
     eta /= eta.sum(axis=1, keepdims=True)
     return eta
 
 
 def reg_loss(state: FitState, S: SimilarityTensor) -> float:
-    """Expected data-fit loss plus group and Dirichlet penalties; the
-    quantity tracked for convergence."""
+    """Expected data-fit loss plus the group and Dirichlet penalties of the
+    entries with lambda_l > 0; the quantity tracked for convergence and
+    compared across restarts."""
     divergences = view_divergences(state.logits, S)
     return _reg_loss_from_divergences(state, divergences)
 
@@ -364,7 +364,7 @@ def _reg_loss_from_divergences(state: FitState, divergences: np.ndarray) -> floa
     cfg = state.config
     n_reg = cfg.reg_multiplier(state.n_items)
     W = state.weights
-    reg = sum(group_regularizer(W[l], cfg.epsilon) for l in range(W.shape[0]))
+    reg = sum(group_regularizer(W[l], cfg.epsilon) for l in np.nonzero(state.lam > 0.0)[0])
     data = float((state.eta * divergences).sum())
     return data + n_reg * reg + dirichlet_penalty(state.lam, cfg.alpha)
 
@@ -374,13 +374,14 @@ def fit(S: SimilarityTensor, config: ModelConfig) -> FitState:
 
     Each restart initializes from its own derived seed, then alternates
     E step / kappa-gamma precompute / M step, recording reg_loss after every
-    EM iteration.  An M step moves only the entries with gamma_l > 0; a
-    dead one keeps its logits and its penalty is a constant of the loss
-    (with alpha > 1, gamma can underflow to 0 while lambda stays > 0, and
-    the entry can regain mass).  Convergence fires when two consecutive
-    losses are bit-equal (nothing left to move, "stationary"), or after the
-    first iteration whose relative decrease (prev - loss) / |prev| is below
-    rel_tol ("rate"; a rise counts too); the cap is non-convergence ("cap").
+    EM iteration.  An M step moves only the entries with gamma_l > 0; the
+    others keep their logits (with alpha > 1, gamma can underflow to 0
+    while lambda stays > 0, and the entry can regain mass).  An entry with
+    lambda_l = 0 adds no penalty to reg_loss.  Convergence fires when two
+    consecutive losses are bit-equal (nothing left to move, "stationary"),
+    or after the first iteration whose relative decrease
+    (prev - loss) / |prev| is below rel_tol ("rate"; a rise counts too);
+    the cap is non-convergence ("cap").
 
     Descent alone can stop with a true cluster split over several near
     one-hot columns, which the objective scores well above the joined
@@ -394,14 +395,12 @@ def fit(S: SimilarityTensor, config: ModelConfig) -> FitState:
     within the same max_iters budget, and the merge step follows its
     next convergence; if the resumed run ends above the loss it started
     from, the state from before the merges is returned.  loss_history
-    keeps one entry per EM iteration.  The restart with the lowest live
-    loss wins: the final reg_loss minus n_reg R(W_l) of every entry with
-    lambda_l = 0, whose frozen penalty depends only on when it died.
+    keeps one entry per EM iteration.  The restart with the lowest final
+    reg_loss wins.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
     n_reg = config.reg_multiplier(S.n_items)
     best: FitState | None = None
-    best_loss = np.inf
     last_error: Exception | None = None
     for child in children:
         try:
@@ -409,11 +408,8 @@ def fit(S: SimilarityTensor, config: ModelConfig) -> FitState:
         except FitDivergedError as err:
             last_error = err
             continue
-        W = state.weights
-        dead = sum(group_regularizer(W[l], config.epsilon) for l in np.nonzero(state.lam == 0.0)[0])
-        loss = state.loss_history[-1] - n_reg * dead
-        if loss < best_loss:
-            best, best_loss = state, loss
+        if best is None or state.loss_history[-1] < best.loss_history[-1]:
+            best = state
     if best is None:
         raise FitDivergedError(f"every restart diverged; last error: {last_error}")
     return best
@@ -442,9 +438,10 @@ def _run_em(state: FitState, S: SimilarityTensor, config: ModelConfig, n_reg: fl
     merge, the first resumed step is measured from the last loss before
     the merge, so the merge's own gain counts in that step.
 
-    Only entries with gamma_l > 0 move (see fit).  Divergences cover the
-    whole catalog: over the live rows alone the E-step product has another
-    shape, for which BLAS may pick another kernel and change the loss."""
+    Only entries with gamma_l > 0 move, and only entries with lambda_l > 0
+    carry penalties (see fit).  Divergences cover the whole catalog: over
+    the live rows alone the E-step product has another shape, for which
+    BLAS may pick another kernel and change the loss."""
     history = state.loss_history
     divergences = view_divergences(state.logits, S)
     for _ in range(config.max_iters - (len(history) - 1)):

@@ -78,7 +78,8 @@ def similarity_reference(points, q: float):
 
 def reg_loss_reference(weights, lam, eta, s_matrices, epsilon, n_reg, alpha) -> float:
     """Triple-loop objective: data divergences + column penalty + mixture
-    penalty.  weights is (d, n, g); s_matrices is (V, n, n)."""
+    penalty, the penalties over the entries with lam > 0 only.  weights is
+    (d, n, g); s_matrices is (V, n, n)."""
     d, n, g = weights.shape
     V = s_matrices.shape[0]
     total = 0.0
@@ -93,6 +94,8 @@ def reg_loss_reference(weights, lam, eta, s_matrices, epsilon, n_reg, alpha) -> 
             total += eta[v, l] * acc
     smoothing = 1e-12
     for l in range(d):
+        if lam[l] == 0.0:
+            continue
         for k in range(g):
             ssq = 0.0
             for i in range(n):
@@ -100,8 +103,7 @@ def reg_loss_reference(weights, lam, eta, s_matrices, epsilon, n_reg, alpha) -> 
                 if h > 0.0:
                     ssq += h * h
             total += n_reg * (math.sqrt(smoothing + ssq) - math.sqrt(smoothing))
-    for l in range(d):
-        total += (1.0 - alpha) * math.log(max(lam[l], 1e-12))
+        total += (1.0 - alpha) * math.log(lam[l])
     return total
 
 

@@ -1,8 +1,14 @@
 """End-to-end command line flows on temporary directories."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mvsimplex
 from mvsimplex.cli import main, parse_config_file, parse_view_groups, two_block_matrix
 
 
@@ -358,6 +364,15 @@ class TestHelpers:
             run("--debug", "verify-bound", "--out", tmp_path / "bad", "--m", 1,
                 "--replications", 2)
         assert "error:" not in capsys.readouterr().err
+
+    def test_import_loads_no_scipy(self):
+        # every command pays for the CLI's import; scipy loads only where
+        # a command needs it
+        env = dict(os.environ, PYTHONPATH=str(Path(mvsimplex.__file__).parents[1]))
+        probe = "import sys, mvsimplex.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == "[]"
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):

@@ -103,8 +103,8 @@ def test_dirichlet_penalty():
     assert dirichlet_penalty(np.array([0.3, 0.7]), alpha=1.0) == 0.0
     lam = np.array([0.5, 0.5])
     assert dirichlet_penalty(lam, alpha=0.5) == pytest.approx(0.5 * 2 * np.log(0.5))
-    # floor keeps zero weights finite
-    assert np.isfinite(dirichlet_penalty(np.array([1.0, 0.0]), alpha=0.5))
+    # an entry with zero weight is out of the model and adds nothing
+    assert dirichlet_penalty(np.array([1.0, 0.0]), alpha=0.5) == 0.0
 
 
 def test_view_divergences_match_direct_pair_sums():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from mvsimplex.metrics import nmi
 from mvsimplex.model import (
     FitState,
     ModelConfig,
-    dirichlet_penalty,
     eta_from_divergences,
     fit,
     group_regularizer,
@@ -42,16 +42,38 @@ def _manual_state(seed, n_views=2, n=12, d=2, g=3):
     return S, FitState(config=cfg, logits=logits, lam=lam, eta=eta)
 
 
+def _with_dead_entry(S, state, l):
+    """state with lambda_l = 0 and the eta of the E step that follows."""
+    lam = state.lam.copy()
+    lam[l] = 0.0
+    lam /= lam.sum()
+    eta = eta_from_divergences(view_divergences(state.logits, S), lam)
+    return FitState(config=state.config, logits=state.logits, lam=lam, eta=eta)
+
+
 def test_reg_loss_matches_triple_loop_reference():
-    S, state = _manual_state(0)
-    got = reg_loss(state, S)
-    expected = reg_loss_reference(
-        state.weights, state.lam, state.eta, make_dense(50, n_views=2, n=12),
-        epsilon=state.config.epsilon,
-        n_reg=state.config.reg_multiplier(S.n_items),
-        alpha=state.config.alpha,
-    )
-    assert got == pytest.approx(expected, rel=1e-10)
+    S, state = _manual_state(0, d=3)
+    for st in (state, _with_dead_entry(S, state, 1)):
+        got = reg_loss(st, S)
+        expected = reg_loss_reference(
+            st.weights, st.lam, st.eta, make_dense(50, n_views=2, n=12),
+            epsilon=st.config.epsilon,
+            n_reg=st.config.reg_multiplier(S.n_items),
+            alpha=st.config.alpha,
+        )
+        assert got == pytest.approx(expected, rel=1e-10)
+
+
+def test_reg_loss_ignores_the_logits_of_entries_with_zero_lambda():
+    # an entry with lambda_l = 0 (and so eta_vl = 0) is out of the model:
+    # its logits change no bit of the loss
+    S, state = _manual_state(2, d=3)
+    state = _with_dead_entry(S, state, 2)
+    assert np.all(state.eta[:, 2] == 0.0)
+    before = reg_loss(state, S)
+    logits = state.logits.copy()
+    logits[2] = np.random.default_rng(3).normal(size=logits[2].shape) * 5
+    assert reg_loss(replace(state, logits=logits), S) == before
 
 
 def test_m_step_descends_and_updates_lambda():
@@ -278,8 +300,10 @@ def test_fit_restarts_never_worse_than_single():
 
 
 def test_restart_choice_leaves_out_frozen_penalties_of_dead_entries():
-    # restart 0 ends with the lower reg_loss, restart 1 with the lower loss
-    # once the frozen group penalties of its lambda = 0 entries are left out
+    # fit keeps the restart with the lowest final loss, and that loss is
+    # the live one: the group and Dirichlet penalties of the entries with
+    # lambda > 0 only.  Restart 1 wins here, and it would lose if its
+    # lambda = 0 entries kept their group penalties.
     views, _, _ = multi_view(n=30, v=8, d0=2, g0=3, seed=0)
     S = SimilarityTensor.from_views(views, q=0.1)
     cfg = ModelConfig(d=6, g=3, seed=0, restarts=2)
@@ -287,14 +311,17 @@ def test_restart_choice_leaves_out_frozen_penalties_of_dead_entries():
     runs = [model._fit_single(S, cfg, child, n_reg)
             for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
 
-    def live_loss(st):
+    def live_loss(st, penalized):
         W = st.weights
         data = float((st.eta * view_divergences(st.logits, S)).sum())
-        live_reg = sum(group_regularizer(W[l], cfg.epsilon) for l in np.nonzero(st.lam > 0.0)[0])
-        return data + n_reg * live_reg + dirichlet_penalty(st.lam, cfg.alpha)
+        reg = sum(group_regularizer(W[l], cfg.epsilon) for l in np.nonzero(penalized)[0])
+        mix = (1.0 - cfg.alpha) * np.log(st.lam[st.lam > 0.0]).sum()
+        return data + n_reg * reg + mix
 
-    assert np.argmin([st.loss_history[-1] for st in runs]) == 0
-    assert np.argmin([live_loss(st) for st in runs]) == 1
+    for st in runs:
+        assert st.loss_history[-1] == pytest.approx(live_loss(st, st.lam > 0.0), rel=1e-12)
+    assert np.argmin([st.loss_history[-1] for st in runs]) == 1
+    assert np.argmin([live_loss(st, np.ones(cfg.d, bool)) for st in runs]) == 0
     best = fit(S, cfg)
     np.testing.assert_array_equal(best.logits, runs[1].logits)
     assert best.loss_history == runs[1].loss_history
