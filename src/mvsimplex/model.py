@@ -127,17 +127,16 @@ def kl_bernoulli(p, s):
 
     p may touch {0, 1}; s must stay strictly inside (0, 1).
     """
-    # imported here: scipy.special takes about two thirds of the package's
-    # import time, and no fit calls this
-    from scipy.special import xlogy
-
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("p must lie in [0, 1]")
     if np.any(s <= 0.0) or np.any(s >= 1.0):
         raise ValueError("s must lie strictly inside (0, 1)")
-    val = xlogy(p, p / s) + xlogy(1.0 - p, (1.0 - p) / (1.0 - s))
+    q = 1.0 - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = (np.where(p > 0.0, p * np.log(p / s), 0.0)
+               + np.where(q > 0.0, q * np.log(q / (1.0 - s)), 0.0))
     if val.ndim == 0:
         return float(val)
     return val

@@ -39,19 +39,25 @@ class ViewData:
 def pairwise_distances(view: ViewData) -> np.ndarray:
     """Euclidean distance matrix of a view.
 
-    Each pair's distance is computed once and mirrored, so the result is
-    exactly symmetric; rejects non-finite input naming the view and the row.
+    The squared differences are added one coordinate at a time, in column
+    order, as pdist adds them, so each distance has pdist's bits.
+    (a - b)^2 equals (b - a)^2 exactly, so the result is exactly symmetric
+    with a zero diagonal.  Rejects non-finite input naming the view and
+    the row.
     """
     y = view.values
     bad = ~np.isfinite(y)
     if bad.any():
         row = int(np.nonzero(bad.any(axis=1))[0][0])
         raise ValueError(f"view {view.view_id}: non-finite value in row {row}")
-    # imported here: scipy.spatial adds a quarter or more to the package's
-    # import time, and only commands that build similarities need it
-    from scipy.spatial.distance import pdist, squareform
-
-    return squareform(pdist(y))
+    n = y.shape[0]
+    dist = np.zeros((n, n))
+    diff = np.empty_like(dist)
+    for col in y.T:
+        np.subtract.outer(col, col, out=diff)
+        diff *= diff
+        dist += diff
+    return np.sqrt(dist, out=dist)
 
 
 def local_bandwidths(dist: np.ndarray, q: float = DEFAULT_QUANTILE) -> np.ndarray:
@@ -78,10 +84,15 @@ def local_bandwidths(dist: np.ndarray, q: float = DEFAULT_QUANTILE) -> np.ndarra
 
 
 def similarity_matrix(view: ViewData, q: float = DEFAULT_QUANTILE) -> np.ndarray:
-    """Locally scaled similarities for one view, clamped into CLAMP."""
+    """Locally scaled similarities for one view, clamped into CLAMP.
+
+    A bandwidth error names the view."""
     s_min, s_max = CLAMP
     dist = pairwise_distances(view)
-    sigma = local_bandwidths(dist, q)
+    try:
+        sigma = local_bandwidths(dist, q)
+    except ValueError as err:
+        raise ValueError(f"view {view.view_id}: {err}") from err
     band = np.sqrt(sigma[:, None] * sigma[None, :])
     s = np.exp(-dist / band)
     s = np.clip(s, s_min, s_max)

@@ -374,6 +374,26 @@ class TestHelpers:
                              text=True, check=True, timeout=60).stdout
         assert out.strip() == "[]"
 
+    def test_commands_run_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy unimportable,
+        # simulate, fit and verify-bound still succeed
+        env = dict(os.environ, PYTHONPATH=str(Path(mvsimplex.__file__).parents[1]))
+        sim, fit, vb = (str(tmp_path / name) for name in ("sim", "fit", "vb"))
+        commands = [
+            ["simulate", "--out", sim, "--kind", "multi", "--n", "12", "--v", "3",
+             "--d0", "2", "--seed", "1"],
+            ["fit", "--data", str(tmp_path / "sim" / "data.csv"), "--out", fit,
+             "--views", "width:2", "--d", "2", "--g", "2", "--seed", "0"],
+            ["verify-bound", "--out", vb, "--n", "4", "--m", "2", "--replications", "2",
+             "--empirical-draws", "100", "--generalization-draws", "100"],
+        ]
+        probe = ("import sys; sys.modules['scipy'] = None\n"
+                 "from mvsimplex.cli import main\n"
+                 f"print([main(argv) for argv in {commands!r}])")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.strip().splitlines()[-1] == "[0, 0, 0]"
+
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             run("frobnicate")

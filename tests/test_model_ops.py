@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,14 @@ def test_kl_bernoulli_is_nonnegative_and_vectorized():
     val = kl_bernoulli(p, s)
     assert val.shape == (3, 7)
     assert np.all(val >= 0.0)
+    # the 0 log 0 = 0 convention on arrays, without a warning
+    p = np.array([0.0, 1.0, 0.3, 0.0, 1.0, 0.7])
+    s = np.array([0.2, 0.2, 0.3, 0.6, 0.6, 0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = kl_bernoulli(p, s)
+    assert np.all(np.isfinite(val)) and np.all(val[[0, 1, 3, 4]] > 0.0)
+    assert val[2] == 0.0 and val[5] == 0.0
 
 
 def test_kl_bernoulli_domain_validation():

@@ -29,6 +29,23 @@ def test_distance_1d_absolute_difference():
     assert pairwise_distances(view)[0, 1] == 3.0
 
 
+def test_distance_has_the_bits_of_pdist():
+    # scipy is a test-only dependency; pdist adds the coordinates in order
+    from scipy.spatial.distance import pdist, squareform
+
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(2, 81))
+        p = int(rng.integers(1, 301))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        offset = rng.uniform(-1e4, 1e4)
+        y = offset + scale * rng.standard_normal((n, p))
+        dist = pairwise_distances(ViewData(y))
+        assert np.array_equal(dist, squareform(pdist(y)))
+        assert np.array_equal(dist, dist.T)
+        assert not np.diag(dist).any()
+
+
 def test_identical_rows_zero_distance():
     view = ViewData(np.array([[2.0, 2.0], [2.0, 2.0], [0.0, 1.0]]))
     assert pairwise_distances(view)[0, 1] == 0.0
@@ -73,6 +90,11 @@ def test_bandwidth_all_zero_row_rejected():
     view = ViewData(np.zeros((3, 2)))
     with pytest.raises(ValueError, match="row 0"):
         local_bandwidths(pairwise_distances(view))
+
+
+def test_similarity_error_names_the_view():
+    with pytest.raises(ValueError, match="view 4.*row 0"):
+        similarity_matrix(ViewData(np.zeros((3, 2)), view_id=4))
 
 
 def test_bandwidth_quantile_domain():
@@ -160,7 +182,6 @@ def test_tensor_build_memory_stays_condensed():
     rng = np.random.default_rng(0)
     n_views, n = 200, 100
     views = [ViewData(rng.normal(size=(n, 2)), view_id=v + 1) for v in range(n_views)]
-    SimilarityTensor.from_views(views[:1])  # the first build imports scipy.spatial
     tracemalloc.start()
     try:
         S = SimilarityTensor.from_views(views)
