@@ -5,6 +5,20 @@ from __future__ import annotations
 import numpy as np
 
 
+def _label_codes(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense codes of the labels and their number, what
+    np.unique(x, return_inverse=True) gives.  Integer labels in
+    [0, x.size), such as canonical partition rows, are ranked by a bincount
+    of the labels that occur, and are their own codes when none is missing;
+    other labels are sorted."""
+    if x.dtype.kind in "iu" and x.min() >= 0 and x.max() < x.size:
+        seen = np.bincount(x) > 0
+        k = np.count_nonzero(seen)
+        return (x if k == seen.size else (np.cumsum(seen) - 1)[x]), k
+    uniq, codes = np.unique(x, return_inverse=True)
+    return codes, uniq.size
+
+
 def nmi(a, b) -> float:
     """Normalized mutual information, 2*I / (H(a) + H(b)), natural logs.
 
@@ -18,10 +32,8 @@ def nmi(a, b) -> float:
         raise ValueError(f"label vectors differ in length: {a.size} vs {b.size}")
     if a.size == 0:
         raise ValueError("empty label vectors")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    ka = ai.max() + 1
-    kb = bi.max() + 1
+    ai, ka = _label_codes(a)
+    bi, kb = _label_codes(b)
     n = a.size
     cont = np.zeros((ka, kb), dtype=float)
     np.add.at(cont, (ai, bi), 1.0)

@@ -55,7 +55,7 @@ def sample_partition_labels(P: np.ndarray, size: int, rng: np.random.Generator) 
         u = rng.random((size, t))
         joined = ncl.copy()
         for k in range(t - 1, -1, -1):
-            np.copyto(joined, k, where=(u[:, k] < p_flat[rep_off[k] + j]) & (k < ncl))
+            np.putmask(joined, (u[:, k] < p_flat[rep_off[k] + j]) & (k < ncl), k)
         lab[row_off + j] = joined
         rep_off[ncl, rows] = j * n
         ncl += joined == ncl
@@ -94,17 +94,63 @@ def canonicalize_labels(lab: np.ndarray) -> np.ndarray:
     return canon[0] if single else canon
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+_KEY_MAX = np.iinfo(np.int64).max
+
+
+def _unique_rows(rows: np.ndarray,
+                 counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """What np.unique(rows, axis=0, return_counts=True) returns, the unique
-    rows in lexicographic order and their counts, without sorting the rows
-    as a structured dtype."""
-    srt = rows[np.lexsort(rows.T[::-1])]
-    new = np.zeros(srt.shape[0], dtype=bool)
+    rows of an integer array whose values fit in int64, in lexicographic
+    order, and their counts.
+
+    With `counts`, row r stands for counts[r] copies of itself, so rows
+    that were already deduped and counted merge by summing their counts.
+
+    Each row becomes one order-preserving int64 key, built column by column
+    as key * span + (col - lo); one sort of the keys then finds the unique
+    rows.  When the next column could overflow the key, the keys are
+    replaced by their ranks, which keep their order and are fewer than the
+    rows; a column with more values than there are rows is replaced by its
+    ranks too.  So the keys are exact for any width and label range.
+    """
+    t = rows.shape[0]
+    key = np.zeros(t, dtype=np.int64)
+    bound = 1  # keys lie in [0, bound)
+    for col in rows.T:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if span > t:
+            vals, col = np.unique(col, return_inverse=True)
+            lo, span = 0, vals.size
+        if bound > _KEY_MAX // span:
+            ranked, key = np.unique(key, return_inverse=True)
+            bound = ranked.size
+        key *= span
+        key += col.astype(np.int64, copy=False)
+        key -= lo
+        bound *= span
+    order = np.argsort(key)  # equal keys are equal rows, so any order among them will do
+    srt = key[order]
+    new = np.empty(t, dtype=bool)
     new[:1] = True
-    for col in srt.T:
-        new[1:] |= col[1:] != col[:-1]
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
     starts = np.flatnonzero(new)
-    return srt[starts], np.diff(np.append(starts, srt.shape[0]))
+    if counts is None:
+        sums = np.diff(np.append(starts, t))
+    else:
+        sums = np.add.reduceat(counts[order], starts)
+    return rows[order[starts]], sums
+
+
+def _distinct_partitions(P: np.ndarray, size: int,
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct canonical partitions of `size` draws and their counts,
+    what _unique_rows(canonicalize_labels(draws)) returns.  Draws repeat a
+    few label rows many times, so the raw rows are deduped first and only
+    the distinct ones canonicalized; rows that canonicalize alike then
+    merge with their counts summed."""
+    raw, raw_counts = _unique_rows(sample_partition_labels(P, size, rng))
+    return _unique_rows(canonicalize_labels(raw), raw_counts)
 
 
 def bound_rhs(P: np.ndarray, s_list, M: int, delta: float) -> float:
@@ -203,6 +249,10 @@ def verify_theorem(
     against the same sampler by shared Monte-Carlo draws
     (generalization_draws fresh ground truths), and
     compares KL(generalization risk || empirical risk) with the bound.
+    Both batches of draws enter the risks as their distinct partitions and
+    counts: each batch is deduped as raw label rows, only the distinct rows
+    are canonicalized, and the canonical rows are deduped again.  The
+    result, and so every risk, is what canonicalizing every draw would give.
     Replications whose risks land outside (0, 1) fall outside the bound's
     own precondition; they are skipped and counted.
     """
@@ -216,12 +266,10 @@ def verify_theorem(
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
         rng = np.random.default_rng(child)
         z0_ids = table.intern(canonicalize_labels(sample_partition_labels(P, M, rng)))
-        phi_uniq, phi_counts = _unique_rows(
-            canonicalize_labels(sample_partition_labels(P, empirical_draws, rng)))
+        phi_uniq, phi_counts = _distinct_partitions(P, empirical_draws, rng)
         phi_ids = table.intern(phi_uniq)
         phi_freq = phi_counts / phi_counts.sum()
-        gen_uniq, gen_counts = _unique_rows(
-            canonicalize_labels(sample_partition_labels(P, generalization_draws, rng)))
+        gen_uniq, gen_counts = _distinct_partitions(P, generalization_draws, rng)
         gen_ids = table.intern(gen_uniq)
         gen_freq = gen_counts / gen_counts.sum()
 

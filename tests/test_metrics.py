@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mvsimplex.metrics import mad, nmi
-from oracles import nmi_reference, oracle_coassignment
+from mvsimplex.metrics import _label_codes, mad, nmi
+from oracles import nmi_np_unique, nmi_reference, oracle_coassignment
 
 
 def test_nmi_perfect_and_permuted():
@@ -35,6 +35,34 @@ def test_nmi_matches_reference_on_random_labelings():
         if np.unique(a).size == 1 or np.unique(b).size == 1:
             continue
         assert nmi(a, b) == pytest.approx(nmi_reference(a, b), abs=1e-12)
+
+
+def random_labels(rng, kind, n):
+    if kind == "canonical":   # dense ids in first-occurrence order
+        return np.unique(rng.integers(0, 4, size=n), return_inverse=True)[1]
+    if kind == "gaps":        # unused ids below and above the label count
+        return rng.choice([0, 2, 3, 7, 50], size=n)
+    if kind == "negative":
+        return rng.integers(-3, 3, size=n)
+    if kind == "single":
+        return np.full(n, rng.integers(-2, 9))
+    return rng.choice([0.5, 1.0, 2.25, -1.0], size=n)   # non-integer
+
+
+@pytest.mark.parametrize("kind_a", ["canonical", "gaps", "negative", "single", "float"])
+@pytest.mark.parametrize("kind_b", ["canonical", "gaps", "single"])
+def test_nmi_has_the_bits_of_np_unique_codes(kind_a, kind_b):
+    rng = np.random.default_rng([len(kind_a), len(kind_b)])
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        a = random_labels(rng, kind_a, n)
+        b = random_labels(rng, kind_b, n)
+        for x in (a, b):
+            uniq, want = np.unique(x, return_inverse=True)
+            codes, k = _label_codes(x)
+            np.testing.assert_array_equal(codes, want)
+            assert k == uniq.size
+        assert nmi(a, b) == nmi_np_unique(a, b)
 
 
 def test_nmi_validation():

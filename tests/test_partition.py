@@ -137,6 +137,36 @@ class TestUniqueRows:
     def test_all_rows_equal(self):
         self.check(np.tile(np.array([0, 1, 1, 2, 0]), (40, 1)))
 
+    def test_wide_rows_compress_keys(self):
+        # 18 values over 40 columns need 167 bits, so the int64 keys are
+        # swapped for their ranks several times along each row
+        rng = np.random.default_rng(40)
+        for size in (2, 17, 500):
+            rows = rng.integers(-9, 9, size=(size, 40))
+            rows[size // 2:, :30] = rows[0, :30]   # long shared prefixes
+            self.check(rows)
+
+    def test_columns_wider_than_the_batch(self):
+        big = np.iinfo(np.int64)
+        rows = np.array([[big.min, 3, big.max], [big.max, 3, 0], [big.min, 3, big.max],
+                         [0, -2, big.min]])
+        self.check(rows)
+        self.check(np.random.default_rng(2).integers(-10**15, 10**15, size=(300, 6)))
+
+    @pytest.mark.parametrize("n,high", [(1, 3), (5, 5), (40, 9)])
+    def test_counted_rows(self, n, high):
+        # counted rows, duplicates among them, equal the expanded rows
+        rng = np.random.default_rng(n)
+        for size in (1, 17, 500):
+            rows = rng.integers(-high, high, size=(size, n))
+            counts = rng.integers(1, 6, size=size)
+            got_rows, got_counts = _unique_rows(rows, counts)
+            want_rows, want_counts = np.unique(np.repeat(rows, counts, axis=0), axis=0,
+                                               return_counts=True)
+            assert got_counts.dtype == want_counts.dtype
+            np.testing.assert_array_equal(got_rows, want_rows)
+            np.testing.assert_array_equal(got_counts, want_counts)
+
 
 class TestSamplers:
     def test_all_ones_gives_one_cluster(self):
@@ -328,6 +358,26 @@ class TestVerifyTheorem:
                                  seed=seed, **draws)
             lhs, holds_each, skipped = verify_theorem_reference(
                 ReferenceSampler(P), P, s_list, M, 0.2, replications=5, seed=seed, **draws)
+            np.testing.assert_array_equal(rep.lhs, lhs)
+            np.testing.assert_array_equal(rep.holds_each, holds_each)
+            np.testing.assert_array_equal(rep.skipped_mask, skipped)
+
+    @pytest.mark.parametrize("key_max", [None, 2**12])
+    @pytest.mark.parametrize("M", [2, 5])
+    def test_equals_reference_loop_n16(self, monkeypatch, key_max, M):
+        # wide rows, few distinct partitions; a small key limit makes both
+        # dedupes of each batch swap their keys for ranks along the rows
+        import mvsimplex.partition
+
+        if key_max is not None:
+            monkeypatch.setattr(mvsimplex.partition, "_KEY_MAX", key_max)
+        draws = {"empirical_draws": 40, "generalization_draws": 120}
+        P = two_block_matrix(16, 0.99, 0.1)
+        s_list = [np.clip(P, 0.05, 0.95)] * M
+        for seed in range(2):
+            rep = verify_theorem(P, s_list, M, 0.2, replications=3, seed=seed, **draws)
+            lhs, holds_each, skipped = verify_theorem_reference(
+                ReferenceSampler(P), P, s_list, M, 0.2, replications=3, seed=seed, **draws)
             np.testing.assert_array_equal(rep.lhs, lhs)
             np.testing.assert_array_equal(rep.holds_each, holds_each)
             np.testing.assert_array_equal(rep.skipped_mask, skipped)
