@@ -21,7 +21,7 @@ from .model import (
     precompute_kappa_gamma,
     reg_loss,
 )
-from .similarity import SimilarityTensor, pair_blocks, pair_row_sums
+from .similarity import SimilarityTensor
 
 KMEANS_MAX_ITERS = 100
 KMEANS_REL_TOL = 1e-6
@@ -56,9 +56,9 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
     assignment go to the lowest center index; a cluster that empties is
     re-seeded at the point farthest from its assigned center.
 
-    Row norms and cluster means are taken a block of columns at a time,
-    in numpy's summation order, so no temporary as large as points is
-    made.
+    Row norms come from one einsum and cluster means from one one-hot
+    (k, m) @ points product divided by the counts, so no temporary as
+    large as points is made.
     """
     points = np.asarray(points, dtype=float)
     m = points.shape[0]
@@ -69,7 +69,7 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
     rng = np.random.default_rng(seed)
     n_trials = 2 + int(np.log(k))
 
-    sq_norms = pair_row_sums(points, lambda x, out: np.multiply(x, x, out=out))
+    sq_norms = np.einsum("ij,ij->i", points, points)
     chosen = [int(rng.integers(m))]
     min_d2 = _sq_dists_to(points, sq_norms, chosen[0])
     for _ in range(1, k):
@@ -103,11 +103,10 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
             labels[far] = empty
             assign_d2[far] = 0.0
         obj = float(assign_d2.sum())
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                for cols in pair_blocks(m, points.shape[1]):
-                    centers[c, cols] = points[mask, cols].mean(axis=0)
+        one_hot = (labels == np.arange(k)[:, None]).astype(float)
+        counts = one_hot.sum(axis=1)
+        filled = counts > 0.0
+        centers[filled] = (one_hot @ points)[filled] / counts[filled, None]
         if prev_obj - obj <= KMEANS_REL_TOL * max(abs(prev_obj), 1.0):
             break
         prev_obj = obj

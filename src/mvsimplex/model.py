@@ -197,10 +197,13 @@ def _entropy_part(pf: np.ndarray) -> np.ndarray:
 
 
 def view_divergences(logits: np.ndarray, S: SimilarityTensor) -> np.ndarray:
-    """Matrix D with D[v, l] = sum_{j<i} kl(p*_ij^(l), s_ij^(v))."""
+    """Matrix D with D[v, l] = sum_{j<i} kl(p*_ij^(l), s_ij^(v)).
+
+    The product with the log-odds runs as pf @ logit.T, which reads the
+    rows of S.logit in place and is faster than logit @ pf.T."""
     ws = pair_workspace(S)
     pf = _coassignment_flat(logits, ws.ii, ws.jj)
-    return _entropy_part(pf)[None, :] - ws.logit_flat @ pf.T - ws.log1m_sum[:, None]
+    return _entropy_part(pf)[None, :] - (pf @ ws.logit_flat.T).T - ws.log1m_sum[:, None]
 
 
 class KappaGamma(NamedTuple):
@@ -223,9 +226,10 @@ def precompute_kappa_gamma(S: SimilarityTensor, eta: np.ndarray) -> KappaGamma:
 
     kappa is built for the live entries (gamma_l > 0) only; a dead entry's
     kappa is the zero matrix, which its all-zero eta column gives anyway.
-    The product over views still covers the whole catalog: over the live
-    rows alone it has another shape, for which BLAS may pick another
-    kernel and change the last bits."""
+    The product eta.T @ S.logit reads the log-odds rows in place and
+    covers the whole catalog: over the live columns of eta alone it has
+    another shape, for which BLAS may pick another kernel and change the
+    last bits."""
     ws = pair_workspace(S)
     n = S.n_items
     gamma = eta.sum(axis=0)
@@ -237,15 +241,19 @@ def precompute_kappa_gamma(S: SimilarityTensor, eta: np.ndarray) -> KappaGamma:
     return KappaGamma(kappa, gamma, live)
 
 
-def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: float, n_reg: float) -> np.ndarray:
+def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: float, n_reg: float,
+                           pair_work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Analytic gradient, with respect to the logits (live.size, n, g) of
     the entries precomp.live, the only ones the M step moves, of the
     kappa/gamma data loss plus n_reg times the group penalties (the
     Dirichlet term is constant in the logits).
 
-    Per pair the data derivative is kappa + gamma * logit(p*); chaining
-    through P* = W W^T gives G W per parameterization, and the softmax rows
-    map weight-space gradients u to w * (u - <u, w>).
+    Per pair the data derivative is kappa + gamma * logit(p*), with
+    logit(p*) = log(p* / (1 - p*)); chaining through P* = W W^T gives G W
+    per parameterization, and the softmax rows map weight-space gradients
+    u to w * (u - <u, w>).  pair_work, two (live.size, n, n) arrays,
+    holds P* and G; a caller that passes the same pair on every call
+    saves their allocation, and without it the call makes its own.
     """
     W = row_softmax(logits)
     h = np.log(W)
@@ -254,11 +262,15 @@ def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: flo
     col_norm = np.sqrt(GROUP_SMOOTHING + (h * h).sum(axis=1, keepdims=True))
     grad_w = np.multiply(n_reg, h, out=h)
     grad_w /= W * col_norm
-    P = np.matmul(W, W.transpose(0, 2, 1))
+    if pair_work is None:
+        live, n, _ = W.shape
+        pair_work = np.empty((live, n, n)), np.empty((live, n, n))
+    P, G = pair_work
+    np.matmul(W, W.transpose(0, 2, 1), out=P)
     np.clip(P, _P_LO, _P_HI, out=P)
-    G = np.log(P)
-    np.negative(P, out=P)
-    G -= np.log1p(P, out=P)
+    np.subtract(1.0, P, out=G)
+    np.divide(P, G, out=G)
+    np.log(G, out=G)
     G *= precomp.gamma[precomp.live, None, None]
     G += precomp.kappa
     idx = np.arange(W.shape[1])
@@ -280,13 +292,16 @@ def _adam_descend(logits: np.ndarray, precomp: KappaGamma, config: ModelConfig, 
     The update runs in place, in the operation order of the textbook form
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
     x -= step (m / c1) / (sqrt(v / c2) + eps), so it gives the same bits
-    (b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS)."""
+    (b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS).  Every gradient
+    call reuses one pair workspace."""
     x = logits[precomp.live]
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     buf = np.empty_like(x)
+    live, n, _ = x.shape
+    pair_work = np.empty((live, n, n)), np.empty((live, n, n))
     for t in range(1, config.m_iters + 1):
-        grad = expected_loss_gradient(x, precomp, config.epsilon, n_reg)
+        grad = expected_loss_gradient(x, precomp, config.epsilon, n_reg, pair_work)
         if not np.all(np.isfinite(grad)):
             raise FitDivergedError("non-finite gradient during descent")
         np.multiply(grad, 1.0 - ADAM_BETA2, out=buf)
@@ -438,9 +453,10 @@ def _run_em(state: FitState, S: SimilarityTensor, config: ModelConfig, n_reg: fl
     the merge, so the merge's own gain counts in that step.
 
     Only entries with gamma_l > 0 move, and only entries with lambda_l > 0
-    carry penalties (see fit).  Divergences cover the whole catalog: over
-    the live rows alone the E-step product has another shape, for which
-    BLAS may pick another kernel and change the loss."""
+    carry penalties (see fit).  Each E step reads every view's log-odds
+    row once (view_divergences) and covers the whole catalog: over the
+    live entries alone its product has another shape, for which BLAS may
+    pick another kernel and change the loss."""
     history = state.loss_history
     divergences = view_divergences(state.logits, S)
     for _ in range(config.max_iters - (len(history) - 1)):

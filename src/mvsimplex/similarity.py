@@ -6,19 +6,19 @@ off-diagonal distances.  Off-diagonal entries are clamped away from {0, 1}
 so every log-odds downstream is finite.  similarity_matrix returns one
 view's dense (n, n) matrix, its diagonal set to the upper clamp; the model
 reads only the strictly lower triangle, so SimilarityTensor stores each
-view's log-odds over the n(n-1)/2 pairs of pair_indices and no dense matrix.
+view's log-odds over the n(n-1)/2 pairs of pair_indices as one row, and
+no dense matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 DEFAULT_QUANTILE = 0.1
 CLAMP = (1e-6, 1.0 - 1e-6)
-PAIR_BLOCK_VALUES = 1 << 17   # values in one block of pair_blocks: 1 MB of float64
 
 
 @dataclass
@@ -63,9 +63,11 @@ def pairwise_distances(view: ViewData) -> np.ndarray:
 def local_bandwidths(dist: np.ndarray, q: float = DEFAULT_QUANTILE) -> np.ndarray:
     """Per-item scale sigma_i: the q-quantile of row i's off-diagonal distances.
 
-    Quantiles use linear interpolation on the sorted values.  A zero quantile
-    falls back to the smallest strictly positive entry of the row; a row whose
-    off-diagonal distances are all zero is an error.
+    Quantiles use linear interpolation on the sorted values, in the
+    arithmetic of np.quantile's "linear" method, so sigma has its bits; one
+    partition of all rows finds the two order statistics.  A zero quantile
+    falls back to the smallest strictly positive entry of the row; a row
+    whose off-diagonal distances are all zero is an error.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile must lie in (0, 1), got {q}")
@@ -74,7 +76,13 @@ def local_bandwidths(dist: np.ndarray, q: float = DEFAULT_QUANTILE) -> np.ndarra
         raise ValueError("need at least two items for bandwidths")
     mask = ~np.eye(n, dtype=bool)
     rows = dist[mask].reshape(n, n - 1)
-    sigma = np.quantile(rows, q, axis=1, method="linear")
+    pos = (n - 2) * q
+    lo = int(pos)   # pos >= 0, so int() is its floor
+    hi = min(lo + 1, n - 2)
+    t = pos - lo
+    rows.partition((lo, hi), axis=1)
+    a, b = rows[:, lo], rows[:, hi]
+    sigma = b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
     for i in np.nonzero(sigma <= 0.0)[0]:
         positive = rows[i][rows[i] > 0.0]
         if positive.size == 0:
@@ -111,50 +119,6 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
-def pair_blocks(n_rows: int, n_cols: int) -> Iterator[slice]:
-    """Column slices that cover range(n_cols) in order, each about
-    PAIR_BLOCK_VALUES / n_rows columns wide.
-
-    No slice is one column wide unless n_cols is 1.  numpy sums a 2-d
-    array along an axis in order when the other axis has two or more
-    entries, and pairwise when it has one, so a one-column tail would sum
-    its rows in another order than the whole array does."""
-    width = max(2, PAIR_BLOCK_VALUES // n_rows)
-    start = 0
-    while start < n_cols:
-        stop = start + width
-        if stop >= n_cols - 1:
-            stop = n_cols
-        yield slice(start, stop)
-        start = stop
-
-
-def pair_row_sums(x: np.ndarray, fill: Callable[[np.ndarray, np.ndarray], None]) -> np.ndarray:
-    """The bits of f(x).sum(axis=1) for an elementwise f, without an f(x)
-    as large as x: fill(x_block, out) writes f of a block of x's columns
-    into out.
-
-    numpy adds the columns of a column-major x with two or more rows one
-    by one.  Here each block of pair_blocks sums from the running total,
-    put in its column 0, so the result has the same bits (but an all -0.0
-    row sums to +0.0).  numpy sums a single row, or another layout, along
-    each row pairwise, so such an x is filled and summed in one piece."""
-    m, p = x.shape
-    if m == 1 or not x.flags.f_contiguous:
-        fx = np.empty_like(x)
-        fill(x, fx)
-        return fx.sum(axis=1)
-    blocks = list(pair_blocks(m, p))
-    buf = np.empty((m, 1 + max(cols.stop - cols.start for cols in blocks)), order="F")
-    total = np.zeros(m)
-    for cols in blocks:
-        block = buf[:, : cols.stop - cols.start + 1]
-        block[:, 0] = total
-        fill(x[:, cols], block[:, 1:])
-        total = block.sum(axis=1)
-    return total
-
-
 def _to_log_odds(s: np.ndarray, log1m: np.ndarray) -> None:
     """Turn the similarities s into log(s / (1 - s)) in place and write
     log(1 - s) into log1m."""
@@ -168,8 +132,8 @@ def _to_log_odds(s: np.ndarray, log1m: np.ndarray) -> None:
 class SimilarityTensor:
     """Every view's similarities in condensed form.
 
-    logit is (V, n(n-1)/2): per view, log(s / (1 - s)) over the pairs in
-    pair_indices order, stored pair-major (Fortran order).  log1m_sum is
+    logit is (V, n(n-1)/2), C order: row v holds view v's
+    log(s / (1 - s)) over the pairs in pair_indices order.  log1m_sum is
     (V,): per view, the sum of log(1 - s) over the same pairs.
     """
 
@@ -184,9 +148,10 @@ class SimilarityTensor:
     @classmethod
     def from_views(cls, views: Sequence[ViewData],
                    q: float = DEFAULT_QUANTILE) -> "SimilarityTensor":
-        """Build one view's dense similarities at a time and keep only its
-        pairs, then turn them into log-odds a block of pairs at a time, so
-        the peak holds one (V, npairs) array and no (V, n, n) one."""
+        """Build one view's dense similarities at a time, keep only its
+        pairs in its row of logit and turn that row into log-odds, so the
+        peak holds the (V, npairs) log-odds, one view's dense matrix and a
+        row of log(1 - s), and no (V, n, n) array."""
         if len(views) == 0:
             raise ValueError("no views given")
         sizes = {v.values.shape[0] for v in views}
@@ -194,7 +159,12 @@ class SimilarityTensor:
             raise ValueError(f"views disagree on item count: {sorted(sizes)}")
         n = sizes.pop()
         ii, jj = pair_indices(n)
-        logit = np.empty((len(views), ii.size), order="F")
+        logit = np.empty((len(views), ii.size))
+        log1m_sum = np.empty(len(views))
+        log1m = np.empty(ii.size)
         for k, view in enumerate(views):
-            logit[k] = similarity_matrix(view, q)[ii, jj]
-        return cls(logit, pair_row_sums(logit, _to_log_odds), n)
+            row = logit[k]
+            row[:] = similarity_matrix(view, q)[ii, jj]
+            _to_log_odds(row, log1m)
+            log1m_sum[k] = log1m.sum()
+        return cls(logit, log1m_sum, n)

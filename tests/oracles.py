@@ -102,6 +102,17 @@ def similarity_reference(points, q: float):
     return s
 
 
+def local_bandwidths_reference(dist, q: float):
+    """Per-row q-quantile of the off-diagonal distances by np.quantile's
+    linear method, with the smallest positive distance for a zero one."""
+    n = dist.shape[0]
+    rows = dist[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    sigma = np.quantile(rows, q, axis=1, method="linear")
+    for i in np.nonzero(sigma <= 0.0)[0]:
+        sigma[i] = rows[i][rows[i] > 0.0].min()
+    return sigma
+
+
 def reg_loss_reference(weights, lam, eta, s_matrices, epsilon, n_reg, alpha) -> float:
     """Triple-loop objective: data divergences + column penalty + mixture
     penalty, the penalties over the entries with lam > 0 only.  weights is
@@ -434,11 +445,11 @@ def numeric_gradient(func, x, step: float = 1e-5):
 
 
 def kmeans_pp_reference(points, k: int, seed):
-    """K-means++ with the whole-array formulas: row norms from
-    points * points, Lloyd distances from (2 * points) @ centers.T, and
-    cluster means over each cluster's rows at once.  The library takes the
-    norms and means a block of columns at a time, which must not move a
-    bit of the labels, centers or inertia."""
+    """K-means++ with the whole-array formulas: row norms by einsum,
+    Lloyd distances from (2 * points) @ centers.T, and cluster means as
+    the product of the one-hot label matrix with the points, divided by
+    the cluster counts.  The library's labels, centers and inertia must
+    have the same bits."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     points = np.asarray(points, dtype=float)
     m = points.shape[0]
@@ -448,7 +459,7 @@ def kmeans_pp_reference(points, k: int, seed):
         d2 = sq_norms - 2.0 * (points @ points[idx]) + sq_norms[idx]
         return np.maximum(d2, 0.0, out=d2)
 
-    sq_norms = (points * points).sum(axis=1)
+    sq_norms = np.einsum("ij,ij->i", points, points)
     chosen = [int(rng.integers(m))]
     min_d2 = sq_dists_to(chosen[0])
     for _ in range(1, k):
@@ -482,10 +493,13 @@ def kmeans_pp_reference(points, k: int, seed):
             labels[far] = empty
             assign_d2[far] = 0.0
         obj = float(assign_d2.sum())
+        one_hot = np.zeros((k, m))
+        one_hot[labels, np.arange(m)] = 1.0
+        sums = one_hot @ points
         for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centers[c] = points[mask].mean(axis=0)
+            count = int((labels == c).sum())
+            if count:
+                centers[c] = sums[c] / count
         if prev_obj - obj <= 1e-6 * max(abs(prev_obj), 1.0):
             break
         prev_obj = obj
@@ -510,7 +524,7 @@ def expected_loss_gradient_reference(logits, precomp, epsilon, n_reg):
 
     W = row_softmax(logits)
     P = np.clip(W @ W.transpose(0, 2, 1), _P_LO, _P_HI)
-    G = full_kappa(precomp) + precomp.gamma[:, None, None] * (np.log(P) - np.log1p(-P))
+    G = full_kappa(precomp) + precomp.gamma[:, None, None] * np.log(P / (1 - P))
     idx = np.arange(W.shape[1])
     G[:, idx, idx] = 0.0
     grad_w = G @ W

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from mvsimplex.model import (
@@ -100,6 +102,39 @@ def test_gradient_equals_full_catalog_kernel_with_dead_entries():
             got = expected_loss_gradient(logits[pc.live], pc, 1e-3, float(n))
             want = expected_loss_gradient_reference(logits, pc, 1e-3, float(n))[pc.live]
             assert np.array_equal(got, want), f"seed {seed}, {n_dead} dead entries"
+
+
+def test_gradient_with_reused_pair_work_is_bitwise_the_same():
+    # one, some and all entries live; the workspace starts as NaN and
+    # keeps the previous call's values, and neither may reach the result
+    n_views, n, d, g = 4, 12, 5, 3
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        S = make_tensor(seed + 3000, n_views=n_views, n=n)
+        logits = 3.0 * rng.normal(size=(d, n, g))
+        for n_dead in (d - 1, 2, 0):
+            pc = precompute_kappa_gamma(S, _eta_with_dead_entries(rng, n_views, d, n_dead))
+            work = np.full((pc.live.size, n, n), np.nan), np.full((pc.live.size, n, n), np.nan)
+            for x in (logits[pc.live], 0.5 * logits[pc.live]):
+                got = expected_loss_gradient(x, pc, 1e-3, float(n), work)
+                want = expected_loss_gradient(x, pc, 1e-3, float(n))
+                assert np.array_equal(got, want), f"seed {seed}, {n_dead} dead entries"
+
+
+def test_gradient_with_pair_work_allocates_no_pair_array():
+    n_views, n, d, g = 3, 60, 4, 3
+    rng = np.random.default_rng(0)
+    pc = precompute_kappa_gamma(make_tensor(3100, n_views=n_views, n=n),
+                                _eta_with_dead_entries(rng, n_views, d, 0))
+    logits = rng.normal(size=(d, n, g))
+    work = np.empty((d, n, n)), np.empty((d, n, n))
+    tracemalloc.start()
+    try:
+        expected_loss_gradient(logits, pc, 1e-3, float(n), work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < work[0].nbytes  # one (live, n, n) array
 
 
 def test_kappa_fills_live_entries_only():

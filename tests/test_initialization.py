@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvsimplex import similarity
 from mvsimplex.initialization import (
     init_assignment,
     initialize,
@@ -63,14 +62,11 @@ def test_kmeans_duplicate_points_all_identical_seeding():
     assert result.inertia == pytest.approx(0.0, abs=1e-20)
 
 
-@pytest.mark.parametrize("block_values", [None, 50, 64])
-def test_kmeans_matches_whole_array_reference_bitwise(monkeypatch, block_values):
-    # block_values 50 and 64 split the log-odds features' 45 pair columns
-    # into blocks of 10 (one block of 15 absorbs a one-column tail) and of
-    # 12 (a short last block); None keeps the full-size blocks
-    if block_values is not None:
-        monkeypatch.setattr(similarity, "PAIR_BLOCK_VALUES", block_values)
-    feats = log_odds_features(make_tensor(12, n_views=5, n=10))
+@pytest.mark.parametrize("n_views", [None, 50, 64])
+def test_kmeans_matches_whole_array_reference_bitwise(n_views):
+    # None keeps the five-view tensor, where k = 5 gives every view its own
+    # center; 50 and 64 views give Lloyd's steps points to move between centers
+    feats = log_odds_features(make_tensor(12, n_views=n_views or 5, n=10))
     blobs, _ = make_blobs(13, n_per=15, centers=((0.0, 0.0, 0.0), (6.0, 6.0, 0.0), (0.0, 6.0, 6.0)))
     cases = [(feats, k, seed) for k in (1, 2, 3, 5) for seed in range(4)]
     cases += [(blobs, k, seed) for k in (1, 3, 7) for seed in range(3)]

@@ -3,18 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvsimplex import similarity
+from mvsimplex.model import precompute_kappa_gamma, view_divergences
 from mvsimplex.similarity import (
     CLAMP,
     SimilarityTensor,
     ViewData,
     local_bandwidths,
-    pair_blocks,
     pair_indices,
     pairwise_distances,
     similarity_matrix,
 )
-from oracles import similarity_reference
+from oracles import local_bandwidths_reference, similarity_reference
 
 
 def test_distance_345_triangle():
@@ -69,6 +68,26 @@ def test_bandwidth_median_of_four():
     ])
     sigma = local_bandwidths(dist, q=0.5)
     assert sigma[0] == 2.5
+
+
+@pytest.mark.parametrize("n", [2, 3, 11, 150])
+def test_bandwidth_has_the_bits_of_np_quantile(n):
+    # continuous data, and points on a small grid for tied and zero
+    # distances; q = 0.5 puts the interpolation weight on 0.5 for odd n
+    rng = np.random.default_rng(n)
+    qs = (0.01, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 0.99, float(rng.uniform()))
+    for trial in range(12):
+        if trial % 2:
+            y = rng.integers(0, 3, size=(n, 2)).astype(float)
+        else:
+            y = rng.normal(size=(n, 3))
+        dist = pairwise_distances(ViewData(y))
+        for q in qs:
+            if (dist.max(axis=1) == 0.0).any():
+                with pytest.raises(ValueError, match="all off-diagonal distances are zero"):
+                    local_bandwidths(dist, q)
+            else:
+                assert np.array_equal(local_bandwidths(dist, q), local_bandwidths_reference(dist, q))
 
 
 def test_bandwidth_constant_rows_any_quantile():
@@ -177,8 +196,8 @@ def test_tensor_from_views_checks_item_counts():
 
 
 def test_tensor_build_memory_stays_condensed():
-    # V = 200 views of n = 100 items: the (V, n(n-1)/2) log-odds and a
-    # block of pairs fit the bound; a second array of their size does not
+    # V = 200 views of n = 100 items: the (V, n(n-1)/2) log-odds and one
+    # view's pairs fit the bound; a second array of their size does not
     rng = np.random.default_rng(0)
     n_views, n = 200, 100
     views = [ViewData(rng.normal(size=(n, 2)), view_id=v + 1) for v in range(n_views)]
@@ -194,44 +213,50 @@ def test_tensor_build_memory_stays_condensed():
     assert peak < 1.25 * n_views * npairs * 8
 
 
+def test_view_axis_products_copy_no_log_odds():
+    # the log-odds are one C-order row per view, and the E step and the
+    # kappa product read them in place: neither makes a temporary of a
+    # quarter of their size
+    rng = np.random.default_rng(1)
+    n_views, n, d = 200, 100, 5
+    S = SimilarityTensor.from_views(
+        [ViewData(rng.normal(size=(n, 2)), view_id=v + 1) for v in range(n_views)])
+    assert S.logit.flags.c_contiguous
+    logits = rng.normal(size=(d, n, 3))
+    eta = rng.dirichlet(np.ones(d), size=n_views)
+    for call in (lambda: view_divergences(logits, S), lambda: precompute_kappa_gamma(S, eta)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < S.logit.nbytes / 4
+
+
 @pytest.mark.parametrize("n_views", [1, 2, 4])
 @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 11])
-def test_tensor_build_is_bitwise_the_whole_array_formulas(monkeypatch, n_views, n):
-    # 40 values per block.  For 4 views a block is 10 pairs: npairs = 1
-    # and 3 fall below one block, 10 is on its boundary, 15 and 55 are off
-    # it, and 21 leaves a one-pair tail.  For 2 views 21 pairs are a block
-    # of 20 and that tail; one view is always summed in one piece.
-    monkeypatch.setattr(similarity, "PAIR_BLOCK_VALUES", 40)
+def test_tensor_build_is_bitwise_the_whole_array_formulas(n_views, n):
+    # row k of logit and log1m_sum[k] are view k's log-odds and its sum of
+    # log(1 - s) over the pairs, as the whole-array formulas give them
     views = [ViewData(np.random.default_rng(v).normal(size=(n, 2)), view_id=v + 1)
              for v in range(n_views)]
     S = SimilarityTensor.from_views(views)
     ii, jj = pair_indices(n)
-    s = np.asfortranarray(np.stack([similarity_matrix(v)[ii, jj] for v in views]))
-    log1m = np.log1p(-s)
-    assert np.array_equal(S.log1m_sum, log1m.sum(axis=1))
-    assert np.array_equal(S.logit, np.log(s) - log1m)
-    assert S.logit.flags.f_contiguous
+    s = np.stack([similarity_matrix(v)[ii, jj] for v in views])
+    assert np.array_equal(S.log1m_sum, [np.log1p(-s[k]).sum() for k in range(n_views)])
+    assert np.array_equal(S.logit, np.log(s) - np.log1p(-s))
+    assert S.logit.flags.c_contiguous
 
 
 def test_tensor_build_is_bitwise_at_full_block_size():
-    # 60 views of 80 items: 3160 pairs in blocks of 2184, so a second,
-    # partial block; one view of 600 items has more pairs than a block
+    # larger views: 60 views of 80 items (3160 pairs each) and one view of
+    # 600 items (179,700 pairs)
     for n_views, n in ((60, 80), (1, 600)):
         views = [ViewData(np.random.default_rng(v).normal(size=(n, 2)), view_id=v + 1)
                  for v in range(n_views)]
         ii, jj = pair_indices(n)
-        s = np.asfortranarray(np.stack([similarity_matrix(v)[ii, jj] for v in views]))
-        assert n_views == 1 or s.shape[1] > similarity.PAIR_BLOCK_VALUES // n_views
-        assert np.array_equal(SimilarityTensor.from_views(views).log1m_sum,
-                              np.log1p(-s).sum(axis=1))
-
-
-@pytest.mark.parametrize("n_cols", [1, 2, 3, 9, 10, 11, 12, 21, 30])
-def test_pair_blocks_cover_columns_in_order_without_one_column_tails(monkeypatch, n_cols):
-    monkeypatch.setattr(similarity, "PAIR_BLOCK_VALUES", 30)
-    blocks = list(pair_blocks(3, n_cols))
-    assert np.array_equal(np.concatenate([np.arange(n_cols)[b] for b in blocks]),
-                          np.arange(n_cols))
-    assert all(b.stop - b.start <= 11 for b in blocks)
-    assert all(b.stop - b.start >= 2 for b in blocks) or n_cols == 1
-
+        s = np.stack([similarity_matrix(v)[ii, jj] for v in views])
+        S = SimilarityTensor.from_views(views)
+        assert np.array_equal(S.log1m_sum, [np.log1p(-s[k]).sum() for k in range(n_views)])
+        assert np.array_equal(S.logit, np.log(s) - np.log1p(-s))
