@@ -19,22 +19,11 @@ from .model import (
     FitDivergedError,
     FitState,
     ModelConfig,
-    coassignment_matrix,
     fit,
-    kl_bernoulli,
     load_fit_state,
-    m_step,
-    reg_loss,
-    row_softmax,
     save_fit_state,
 )
-from .initialization import initialize, kmeans_pp, log_odds_features
-from .partition import (
-    BoundReport,
-    bound_rhs,
-    canonicalize_labels,
-    verify_theorem,
-)
+from .partition import BoundReport, verify_theorem
 from .postprocess import (
     ConsensusResult,
     EntryEstimate,
@@ -55,23 +44,13 @@ __all__ = [
     "ModelConfig",
     "SimilarityTensor",
     "ViewData",
-    "bound_rhs",
-    "canonicalize_labels",
-    "coassignment_matrix",
     "consensus_matrix",
     "consensus_views",
     "fit",
-    "initialize",
-    "kl_bernoulli",
-    "kmeans_pp",
     "load_fit_state",
-    "log_odds_features",
-    "m_step",
     "mad",
     "multi_view",
     "nmi",
-    "reg_loss",
-    "row_softmax",
     "save_fit_state",
     "screen_columns",
     "similarity_matrix",

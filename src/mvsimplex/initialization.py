@@ -113,32 +113,21 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
     return KMeansResult(labels=labels, centers=centers, inertia=obj)
 
 
-@dataclass
-class InitResult:
-    """K-means outcome used to seed the EM loop."""
-
-    assignment: np.ndarray   # (V,) initial parameterization per view
-    eta0: np.ndarray         # (V, d) one-hot responsibilities
-    lambda0: np.ndarray      # (d,) uniform
-
-
-def init_assignment(S: SimilarityTensor, d: int, seed) -> InitResult:
+def init_assignment(S: SimilarityTensor, d: int, seed) -> np.ndarray:
+    """(V,) K-means labels of the views' log-odds features, d groups."""
     if d > S.n_views:
         raise ValueError(f"d = {d} exceeds the number of views ({S.n_views})")
-    km = kmeans_pp(log_odds_features(S), d, seed)
-    eta0 = np.zeros((S.n_views, d))
-    eta0[np.arange(S.n_views), km.labels] = 1.0
-    return InitResult(assignment=km.labels, eta0=eta0, lambda0=np.full(d, 1.0 / d))
+    return kmeans_pp(log_odds_features(S), d, seed).labels
 
 
 def initialize(S: SimilarityTensor, config: ModelConfig, seed) -> FitState:
     """Initial FitState: one-hot eta from K-means, uniform lambda, logits at
     small uniform noise refined by one lambda-preserving M step."""
     rng = np.random.default_rng(seed)
-    init = init_assignment(S, config.d, rng)
+    labels = init_assignment(S, config.d, rng)
     logits = rng.uniform(-INIT_NOISE, INIT_NOISE, size=(config.d, S.n_items, config.g))
-    state = FitState(config=config, logits=logits, lam=init.lambda0, eta=init.eta0,
-                     init_assignment=init.assignment.copy())
+    state = FitState(config=config, logits=logits, lam=np.full(config.d, 1.0 / config.d),
+                     eta=np.eye(config.d)[labels], init_assignment=labels)
     precomp = precompute_kappa_gamma(S, state.eta)
     state.logits, state.lam = m_step(state, precomp, config.reg_multiplier(S.n_items),
                                      update_lambda=False)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -93,17 +93,25 @@ class ModelConfig:
 @dataclass
 class FitState:
     """Everything the EM loop carries: logits (d, n, g), mixture weights
-    lambda (d,), responsibilities eta (V, d), and the loss trail."""
+    lambda (d,), responsibilities eta (V, d), and the loss trail.  The
+    iteration count and the convergence flag are read off the trail and
+    converged_by ("stationary", "rate", "cap", or "" before any EM)."""
 
     config: ModelConfig
     logits: np.ndarray
     lam: np.ndarray
     eta: np.ndarray
     loss_history: list = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = False
     converged_by: str = ""
     init_assignment: np.ndarray | None = None  # K-means view labels the fit started from
+
+    @property
+    def iterations(self) -> int:
+        return len(self.loss_history) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.converged_by in ("stationary", "rate")
 
     @property
     def weights(self) -> np.ndarray:
@@ -403,14 +411,15 @@ def fit(S: SimilarityTensor, config: ModelConfig) -> FitState:
     every catalog entry with lambda > 0.  A trial folds a live column k
     (max weight above epsilon) into another live column j, w_j + w_k for
     every item, or into each item's runner-up live column, and drops
-    column k below epsilon.  The best trial is kept only if it lowers
-    reg_loss at the current eta and lambda, and the step repeats until no
-    trial does.  After a kept merge EM resumes under the same stop rule,
-    within the same max_iters budget, and the merge step follows its
-    next convergence; if the resumed run ends above the loss it started
-    from, the state from before the merges is returned.  loss_history
-    keeps one entry per EM iteration.  The restart with the lowest final
-    reg_loss wins.
+    column k below epsilon.  The best trial is kept if it lowers the
+    entry's share of reg_loss, its data term plus its group penalty; with
+    eta and lambda held, reg_loss changes by the same amount (see
+    _merge_columns).  The step repeats until no trial lowers it.  After a
+    kept merge EM resumes under the same stop rule, within the same
+    max_iters budget, and the merge step follows its next convergence;
+    if the resumed run ends above the loss it started from, the state
+    from before the merges is returned.  loss_history keeps one entry per
+    EM iteration.  The restart with the lowest final reg_loss wins.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
     n_reg = config.reg_multiplier(S.n_items)
@@ -469,18 +478,14 @@ def _run_em(state: FitState, S: SimilarityTensor, config: ModelConfig, n_reg: fl
             raise FitDivergedError("non-finite loss during descent")
         history.append(loss)
         if history[-1] == history[-2]:
-            state.converged = True
             state.converged_by = "stationary"
             break
         decrease = (history[-2] - history[-1]) / max(abs(history[-2]), 1e-300)
         if decrease < config.rel_tol:
-            state.converged = True
             state.converged_by = "rate"
             break
     else:
-        state.converged = False
         state.converged_by = "cap"
-    state.iterations = len(history) - 1
 
 
 def _merged_logits(logits: np.ndarray, k: int, targets: np.ndarray, epsilon: float) -> np.ndarray:
@@ -508,10 +513,14 @@ def _entry_loss(logits: np.ndarray, kappa_flat: np.ndarray, gamma: float,
 
 def _merge_columns(state: FitState, S: SimilarityTensor, n_reg: float) -> bool:
     """Greedy column merges on every catalog entry with lambda > 0, eta and
-    lambda held fixed.  Returns whether any merge was kept."""
+    lambda held fixed.  A trial is scored on _entry_loss alone: with eta
+    and lambda held, sum_v eta_vl D_vl is gamma_l ent(p_l) + kappa_l . p_l
+    minus the constant sum_v eta_vl log1m_sum_v, so the entry's loss and
+    reg_loss change by the same amount.  The best trial is kept when it
+    lowers the entry's loss, in place in state.logits.  Returns whether
+    any merge was kept."""
     eps = state.config.epsilon
     ws = pair_workspace(S)
-    loss = state.loss_history[-1]
     kept = False
     for l in np.nonzero(state.lam > 0.0)[0]:
         kappa_flat = -(state.eta[:, l] @ ws.logit_flat)
@@ -533,13 +542,8 @@ def _merge_columns(state: FitState, S: SimilarityTensor, n_reg: float) -> bool:
                         best, best_loss = trial, trial_loss
             if best is None:
                 break
-            logits = state.logits.copy()
-            logits[l] = best
-            new_loss = _reg_loss_from_divergences(
-                replace(state, logits=logits), view_divergences(logits, S))
-            if not new_loss < loss:
-                break
-            state.logits, loss, kept = logits, new_loss, True
+            state.logits[l] = best
+            kept = True
     return kept
 
 
@@ -574,15 +578,18 @@ def load_fit_state(path) -> FitState:
         raise ValueError(f"{path}: not a fit-state file")
     if payload.get("version") != FIT_STATE_VERSION:
         raise ValueError(f"{path}: unsupported fit-state version {payload.get('version')}")
-    return FitState(
+    state = FitState(
         config=ModelConfig(**payload["config"]),
         logits=np.asarray(payload["logits"], dtype=float),
         lam=np.asarray(payload["lambda"], dtype=float),
         eta=np.asarray(payload["eta"], dtype=float),
         loss_history=[float(x) for x in payload["loss_history"]],
-        iterations=int(payload["iterations"]),
-        converged=bool(payload["converged"]),
         converged_by=str(payload["converged_by"]),
         init_assignment=None if payload.get("init_assignment") is None
         else np.asarray(payload["init_assignment"], dtype=int),
     )
+    for key in ("iterations", "converged"):
+        if payload[key] != getattr(state, key):
+            raise ValueError(f"{path}: stored {key} = {payload[key]!r} disagrees with "
+                             f"loss_history and converged_by ({getattr(state, key)!r})")
+    return state

@@ -576,6 +576,58 @@ def _textbook_adam(x, config, gradient):
     return x
 
 
+def merge_columns_full_loss_reference(state, S, n_reg: float) -> bool:
+    """The column-merge step that scores trials on the entry's share of the
+    loss but keeps the best one only after the full reg_loss of the merged
+    state, recomputed from a fresh E-step divergence matrix, falls below
+    the last kept loss.  The library keeps the best trial on the entry's
+    share alone, which changes by the same amount; on the same fit the two
+    must keep the same merges."""
+    from dataclasses import replace
+
+    from mvsimplex.model import (
+        _entry_loss,
+        _merged_logits,
+        _reg_loss_from_divergences,
+        pair_workspace,
+        row_softmax,
+        view_divergences,
+    )
+
+    eps = state.config.epsilon
+    ws = pair_workspace(S)
+    loss = state.loss_history[-1]
+    kept = False
+    for l in np.nonzero(state.lam > 0.0)[0]:
+        kappa_flat = -(state.eta[:, l] @ ws.logit_flat)
+        gamma = float(state.eta[:, l].sum())
+        while True:
+            current = _entry_loss(state.logits[l], kappa_flat, gamma, ws, eps, n_reg)
+            live = np.nonzero(row_softmax(state.logits[l]).max(axis=0) > eps)[0]
+            if live.size < 2:
+                break
+            best, best_loss = None, current
+            for k in live:
+                others = live[live != k]
+                runner_up = others[state.logits[l][:, others].argmax(axis=1)]
+                targets = [runner_up] + [np.full(state.n_items, j) for j in others[others < k]]
+                for t in targets:
+                    trial = _merged_logits(state.logits[l], k, t, eps)
+                    trial_loss = _entry_loss(trial, kappa_flat, gamma, ws, eps, n_reg)
+                    if trial_loss < best_loss:
+                        best, best_loss = trial, trial_loss
+            if best is None:
+                break
+            logits = state.logits.copy()
+            logits[l] = best
+            new_loss = _reg_loss_from_divergences(
+                replace(state, logits=logits), view_divergences(logits, S))
+            if not new_loss < loss:
+                break
+            state.logits, loss, kept = logits, new_loss, True
+    return kept
+
+
 def bound_rhs_reference(P, s_list, M: int, delta: float) -> float:
     """Literal transcription of the bound's right-hand side."""
     P = np.asarray(P, dtype=float)

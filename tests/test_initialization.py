@@ -110,11 +110,15 @@ def test_init_assignment_groups_views_by_pattern():
         base = pts_a if v < 3 else pts_b
         views.append(ViewData(base + rng.normal(scale=0.05, size=base.shape), view_id=v + 1))
     S = SimilarityTensor.from_views(views)
-    init = init_assignment(S, 2, seed=0)
+    labels = init_assignment(S, 2, seed=0)
     truth = np.array([0, 0, 0, 1, 1, 1])
-    assert nmi(init.assignment, truth) == pytest.approx(1.0)
-    np.testing.assert_allclose(init.eta0.sum(axis=1), 1.0)
-    np.testing.assert_array_equal(init.lambda0, [0.5, 0.5])
+    assert nmi(labels, truth) == pytest.approx(1.0)
+    # initialize starts from one-hot rows of eta at its K-means labels and
+    # a uniform lambda, which its lambda-preserving M step keeps
+    state = initialize(S, ModelConfig(d=2, g=2, seed=0), seed=0)
+    assert nmi(state.init_assignment, truth) == pytest.approx(1.0)
+    np.testing.assert_array_equal(state.eta, np.eye(2)[state.init_assignment])
+    np.testing.assert_array_equal(state.lam, [0.5, 0.5])
 
 
 def test_init_assignment_rejects_d_above_view_count():

@@ -27,6 +27,7 @@ from oracles import (
     adam_descend_every_entry,
     adam_descend_reference,
     descent_objective,
+    merge_columns_full_loss_reference,
     reg_loss_reference,
 )
 
@@ -256,6 +257,62 @@ def test_fit_in_place_adam_matches_textbook_loop(monkeypatch):
         np.testing.assert_array_equal(state.eta, reference.eta)
 
 
+def _merge_cases():
+    # _three_blobs keeps a merge at d=1; the d=4 fit over 6 random views
+    # keeps merges while entries die
+    return [
+        (_three_blobs()[0], ModelConfig(d=1, g=6, seed=0)),
+        (make_tensor(0, n_views=6, n=10), ModelConfig(d=4, g=3, seed=0, m_iters=10)),
+    ]
+
+
+def test_fit_merges_equal_the_full_loss_merge_rule(monkeypatch):
+    # the merge step keeps its best trial on the entry's share of reg_loss;
+    # the rule that recomputes the full reg_loss before it keeps a trial
+    # must give the same fits, bit for bit
+    cases = _merge_cases()
+    states = [fit(S, config) for S, config in cases]
+    monkeypatch.setattr(model, "_merge_columns", merge_columns_full_loss_reference)
+    for (S, config), state in zip(cases, states):
+        reference = fit(S, config)
+        assert state.loss_history == reference.loss_history
+        np.testing.assert_array_equal(state.logits, reference.logits)
+        np.testing.assert_array_equal(state.eta, reference.eta)
+
+
+def _recording_merges(merge, trails):
+    """merge, appending per call the reg_loss of the state it starts from
+    and the reg_loss after each merge it keeps (eta and lambda held).  A
+    kept merge is an item assignment to state.logits, which an ndarray
+    subclass reports."""
+    def wrapped(state, S, n_reg):
+        class Logits(np.ndarray):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                if self is state.logits:
+                    trail.append(reg_loss(replace(state, logits=np.asarray(self)), S))
+
+        trail = [reg_loss(state, S)]
+        state.logits = state.logits.view(Logits)
+        try:
+            return merge(state, S, n_reg)
+        finally:
+            state.logits = np.asarray(state.logits)
+            trails.append(trail)
+    return wrapped
+
+
+def test_each_kept_merge_lowers_reg_loss(monkeypatch):
+    merge = model._merge_columns
+    for S, config in _merge_cases():
+        trails = []
+        monkeypatch.setattr(model, "_merge_columns", _recording_merges(merge, trails))
+        fit(S, config)
+        assert any(len(trail) > 1 for trail in trails)
+        for trail in trails:
+            assert all(after < before for before, after in zip(trail, trail[1:]))
+
+
 def test_fit_iteration_cap_reports_nonconvergence():
     S = make_tensor(6, n_views=2, n=10)
     state = fit(S, ModelConfig(d=2, g=3, seed=0, max_iters=3))
@@ -346,6 +403,23 @@ def test_save_load_roundtrip(tmp_path, two_blob_fit):
     assert back.config == state.config
     assert back.converged == state.converged
     assert back.converged_by == state.converged_by
+    assert back.iterations == state.iterations
+
+
+@pytest.mark.parametrize("key, value", [("iterations", 0), ("converged", False)])
+def test_load_rejects_stored_counts_that_disagree_with_the_trail(tmp_path, two_blob_fit,
+                                                                 key, value):
+    # iterations and converged are derived from loss_history and
+    # converged_by; a file whose stored copies disagree is rejected
+    _, state, _ = two_blob_fit
+    assert state.converged and state.iterations > 0
+    path = tmp_path / "state.json"
+    save_fit_state(state, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload[key] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"stored {key}"):
+        load_fit_state(path)
 
 
 def test_load_rejects_version_1_file(tmp_path, two_blob_fit):
