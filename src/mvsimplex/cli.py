@@ -214,6 +214,7 @@ def cmd_fit(args) -> None:
     groups = parse_view_groups(opts["views"], data.shape[1])
     views = [ViewData(values=data[:, grp], view_id=i + 1) for i, grp in enumerate(groups)]
     S = SimilarityTensor.from_views(views, q=opts["quantile"])
+    del data, views  # S holds all the fit reads; free the raw columns before it runs
     model_keys = {f.name for f in fields(ModelConfig)}
     config = ModelConfig(**{k: v for k, v in opts.items() if k in model_keys and v is not None})
     state = fit(S, config)

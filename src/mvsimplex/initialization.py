@@ -8,8 +8,6 @@ uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (
@@ -27,19 +25,6 @@ KMEANS_MAX_ITERS = 100
 KMEANS_REL_TOL = 1e-6
 
 
-def log_odds_features(S: SimilarityTensor) -> np.ndarray:
-    """Feature matrix (V, n(n-1)/2): per view, the strictly-lower-triangular
-    log-odds of the similarities in the canonical pair order."""
-    return pair_workspace(S).logit_flat
-
-
-@dataclass
-class KMeansResult:
-    labels: np.ndarray
-    centers: np.ndarray
-    inertia: float
-
-
 def _sq_dists_to(points: np.ndarray, sq_norms: np.ndarray, idx: int) -> np.ndarray:
     """Squared distances from every point to point idx, in the
     |x|^2 - 2 x.c + |c|^2 form of Lloyd's loop, clamped at 0."""
@@ -47,8 +32,9 @@ def _sq_dists_to(points: np.ndarray, sq_norms: np.ndarray, idx: int) -> np.ndarr
     return np.maximum(d2, 0.0, out=d2)
 
 
-def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
-    """Lloyd's algorithm with greedy K-means++ seeding.
+def kmeans_pp(points: np.ndarray, k: int, seed) -> np.ndarray:
+    """(m,) cluster labels of the points by Lloyd's algorithm with greedy
+    K-means++ seeding.
 
     Each seeding step samples 2 + floor(log k) candidates from the
     squared-distance distribution and keeps the one with the lowest
@@ -90,7 +76,6 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
         min_d2 = best_min
     centers = points[chosen].copy()
 
-    labels = np.zeros(m, dtype=int)
     prev_obj = np.inf
     for _ in range(KMEANS_MAX_ITERS):
         d2 = sq_norms[:, None] - 2.0 * (points @ centers.T) + (centers * centers).sum(axis=1)[None, :]
@@ -110,14 +95,14 @@ def kmeans_pp(points: np.ndarray, k: int, seed) -> KMeansResult:
         if prev_obj - obj <= KMEANS_REL_TOL * max(abs(prev_obj), 1.0):
             break
         prev_obj = obj
-    return KMeansResult(labels=labels, centers=centers, inertia=obj)
+    return labels
 
 
 def init_assignment(S: SimilarityTensor, d: int, seed) -> np.ndarray:
-    """(V,) K-means labels of the views' log-odds features, d groups."""
+    """(V,) K-means labels of the views' log-odds rows, d groups."""
     if d > S.n_views:
         raise ValueError(f"d = {d} exceeds the number of views ({S.n_views})")
-    return kmeans_pp(log_odds_features(S), d, seed).labels
+    return kmeans_pp(pair_workspace(S).logit_flat, d, seed)
 
 
 def initialize(S: SimilarityTensor, config: ModelConfig, seed) -> FitState:

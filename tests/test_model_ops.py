@@ -6,7 +6,6 @@ import pytest
 from mvsimplex.model import (
     KappaGamma,
     ModelConfig,
-    coassignment_matrix,
     dirichlet_penalty,
     eta_from_divergences,
     group_regularizer,
@@ -82,13 +81,6 @@ def test_kl_bernoulli_domain_validation():
         kl_bernoulli(0.5, 0.0)
     with pytest.raises(ValueError):
         kl_bernoulli(0.5, 1.0)
-
-
-def test_coassignment_one_hot_rows():
-    w = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    P = coassignment_matrix(w)
-    assert P[0, 1] == 1.0 and P[0, 2] == 0.0
-    np.testing.assert_array_equal(P, P.T)
 
 
 def test_group_regularizer_zero_at_epsilon():

@@ -1,3 +1,4 @@
+import io
 import json
 from dataclasses import replace
 
@@ -404,6 +405,18 @@ def test_save_load_roundtrip(tmp_path, two_blob_fit):
     assert back.converged == state.converged
     assert back.converged_by == state.converged_by
     assert back.iterations == state.iterations
+
+
+def test_saved_bytes_are_json_dump_bytes(tmp_path, two_blob_fit):
+    # one json.dumps call (the C encoder) writes what json.dump's streaming
+    # encoder writes for the same payload
+    _, state, _ = two_blob_fit
+    path = tmp_path / "state.json"
+    save_fit_state(state, path)
+    buf = io.StringIO()
+    json.dump(json.loads(path.read_text(encoding="utf-8")), buf, sort_keys=True)
+    buf.write("\n")
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("key, value", [("iterations", 0), ("converged", False)])

@@ -75,7 +75,9 @@ class TestCanonicalizeLabels:
         assert canonicalize_labels(np.array([2, 2, 0, 1])).tolist() == [0, 0, 1, 2]
 
     def test_out_of_range_ids(self):
-        assert canonicalize_labels(np.array([-5, 7, -5])).tolist() == [0, 1, 0]
+        for lab in ([-5, 7, -5], [0, 3, 0], [[0, 1, 2], [0, -1, 2]]):
+            with pytest.raises(ValueError, match=r"\[0, 3\)"):
+                canonicalize_labels(np.array(lab))
 
     def test_batch_matches_rowwise(self):
         rng = np.random.default_rng(0)
@@ -91,22 +93,27 @@ class TestCanonicalizeLabels:
 
     @pytest.mark.parametrize("low,high", [(0, 8), (0, 3), (-4, 3), (2, 10), (-3, 5)])
     def test_batch_equals_reference(self, low, high):
+        # the reference takes any labels, the batch only labels in [0, 8);
+        # a shift by `low` moves the one into the other and keeps the
+        # first-occurrence order, so both give the same canonical rows
         rng = np.random.default_rng(high - low)
         for t in (1, 50, 300):
             lab = rng.integers(low, high, size=(t, 8))
-            got = canonicalize_labels(lab)
+            got = canonicalize_labels(lab - low)
             want = canonicalize_labels_reference(lab)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(canonicalize_labels(lab[0]),
+            np.testing.assert_array_equal(canonicalize_labels(lab[0] - low),
                                           canonicalize_labels_reference(lab[0]))
 
     def test_rows_using_more_than_n_labels_in_all(self):
-        # the labels of all rows together exceed [0, n), each row's do not
-        assert canonicalize_labels(np.array([[0, 1], [2, 3]])).tolist() == [[0, 1], [0, 1]]
-        assert canonicalize_labels(np.array([[5], [-2], [0]])).tolist() == [[0], [0], [0]]
+        # each row uses at most n distinct labels, but their values leave
+        # [0, n), which no sampler row does
+        for lab in ([[0, 1], [2, 3]], [[5], [-2], [0]]):
+            with pytest.raises(ValueError, match="must lie in"):
+                canonicalize_labels(np.array(lab))
         rng = np.random.default_rng(4)
-        lab = rng.integers(-1000, 1000, size=(200, 6))
+        lab = rng.integers(0, 6, size=(200, 6))
         lab[:, 3] = lab[:, 0]
         for row, crow in zip(lab, canonicalize_labels(lab)):
             assert tuple(crow.tolist()) == canonical_tuple(row)
@@ -123,9 +130,10 @@ class TestUniqueRows:
 
     @pytest.mark.parametrize("n,high", [(1, 3), (3, 2), (5, 5), (8, 3), (20, 4)])
     def test_random_batches(self, n, high):
+        # rows of length n over the labels [0, min(high, n))
         rng = np.random.default_rng(n)
         for size in (2, 17, 500):
-            self.check(rng.integers(-high, high, size=(size, n)))
+            self.check(rng.integers(0, min(high, n), size=(size, n)))
 
     def test_canonical_draws(self):
         P = two_block_matrix(5, 0.9, 0.1)
@@ -138,27 +146,30 @@ class TestUniqueRows:
         self.check(np.tile(np.array([0, 1, 1, 2, 0]), (40, 1)))
 
     def test_wide_rows_compress_keys(self):
-        # 18 values over 40 columns need 167 bits, so the int64 keys are
-        # swapped for their ranks several times along each row
+        # 40 columns of 40 possible labels need 213 bits, so the int64 keys
+        # are swapped for their ranks several times along each row
         rng = np.random.default_rng(40)
         for size in (2, 17, 500):
-            rows = rng.integers(-9, 9, size=(size, 40))
+            rows = rng.integers(0, 18, size=(size, 40))
             rows[size // 2:, :30] = rows[0, :30]   # long shared prefixes
             self.check(rows)
 
     def test_columns_wider_than_the_batch(self):
-        big = np.iinfo(np.int64)
-        rows = np.array([[big.min, 3, big.max], [big.max, 3, 0], [big.min, 3, big.max],
-                         [0, -2, big.min]])
-        self.check(rows)
-        self.check(np.random.default_rng(2).integers(-10**15, 10**15, size=(300, 6)))
+        # each column spans more labels than there are rows
+        self.check(np.array([[0, 3, 1, 0], [3, 3, 0, 2], [0, 3, 1, 0]]))
+        self.check(np.random.default_rng(2).integers(0, 30, size=(6, 30)))
+
+    def test_out_of_range_labels_rejected(self):
+        for rows in ([[0, 3, 1]], [[0, 1, 2], [-1, 0, 0]]):
+            with pytest.raises(ValueError, match=r"\[0, 3\)"):
+                _unique_rows(np.array(rows))
 
     @pytest.mark.parametrize("n,high", [(1, 3), (5, 5), (40, 9)])
     def test_counted_rows(self, n, high):
         # counted rows, duplicates among them, equal the expanded rows
         rng = np.random.default_rng(n)
         for size in (1, 17, 500):
-            rows = rng.integers(-high, high, size=(size, n))
+            rows = rng.integers(0, min(high, n), size=(size, n))
             counts = rng.integers(1, 6, size=size)
             got_rows, got_counts = _unique_rows(rows, counts)
             want_rows, want_counts = np.unique(np.repeat(rows, counts, axis=0), axis=0,

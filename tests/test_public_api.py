@@ -29,8 +29,8 @@ PUBLIC = [
 
 # internals that left the package namespace, by the module they live in
 INTERNAL = {
-    "initialization": ["initialize", "kmeans_pp", "log_odds_features"],
-    "model": ["coassignment_matrix", "kl_bernoulli", "m_step", "reg_loss", "row_softmax"],
+    "initialization": ["initialize", "kmeans_pp"],
+    "model": ["kl_bernoulli", "m_step", "reg_loss", "row_softmax"],
     "partition": ["bound_rhs", "canonicalize_labels"],
 }
 

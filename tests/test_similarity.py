@@ -90,6 +90,21 @@ def test_bandwidth_has_the_bits_of_np_quantile(n):
                 assert np.array_equal(local_bandwidths(dist, q), local_bandwidths_reference(dist, q))
 
 
+def test_bandwidth_ignores_the_diagonal():
+    # the diagonal sorts below every distance whatever it holds, and the
+    # caller's matrix is left as it was
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 12):
+        dist = pairwise_distances(ViewData(rng.normal(size=(n, 2))))
+        for q in (0.1, 0.5, 0.9):
+            want = local_bandwidths(dist, q)
+            for diag in (5.0, dist.max() / 2, -1.0):
+                marked = dist.copy()
+                np.fill_diagonal(marked, diag)
+                assert np.array_equal(local_bandwidths(marked, q), want)
+                assert np.all(np.diag(marked) == diag)
+
+
 def test_bandwidth_constant_rows_any_quantile():
     dist = np.full((6, 6), 3.7)
     np.fill_diagonal(dist, 0.0)
