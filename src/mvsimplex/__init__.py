@@ -31,7 +31,7 @@ from .postprocess import (
     spectral_labels,
     view_estimates,
 )
-from .similarity import SimilarityTensor, ViewData, similarity_matrix
+from .similarity import SimilarityTensor, similarity_matrix
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "FitState",
     "ModelConfig",
     "SimilarityTensor",
-    "ViewData",
     "consensus_matrix",
     "consensus_views",
     "fit",

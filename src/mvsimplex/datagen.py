@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .similarity import ViewData
-
 SINGLE_VIEW_SETTINGS = ("a", "b", "c", "d", "e", "f")
 
 
@@ -15,8 +13,9 @@ def _two_gaussians(rng, n, z, shift):
     return y
 
 
-def single_view(setting: str, n: int, seed) -> tuple[ViewData, np.ndarray]:
-    """One two-component 2-d mixture view plus its item labels.
+def single_view(setting: str, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """One two-component 2-d mixture view, an (n, 2) array, plus its item
+    labels.
 
     Settings: (a), (b), (c) unit Gaussians centered at (0,0) against
     (10,10), (3,3), (2,2); (d) componentwise Exp(1)-4 against -Exp(1);
@@ -46,7 +45,7 @@ def single_view(setting: str, n: int, seed) -> tuple[ViewData, np.ndarray]:
     else:
         y = rng.standard_cauchy(size=(n, 2))
         y[z == 1] += 3.0
-    return ViewData(values=y, view_id=1), z
+    return y, z
 
 
 DEFAULT_PATTERN_MEANS = np.array([[0.0, 0.0], [2.0, 2.0], [-2.0, -2.0]])
@@ -60,13 +59,13 @@ def multi_view(
     dirichlet_alpha: float = 0.5,
     means: np.ndarray | None = None,
     seed=0,
-) -> tuple[list[ViewData], np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """V two-dimensional views sharing d0 clustering patterns.
 
     Each pattern is an n x g0 matrix of Dirichlet(dirichlet_alpha) rows;
     views pick a pattern uniformly, draw per-item labels from the pattern's
     rows, and emit unit Gaussians at the label's mean.  Returns
-    (views, pattern index per view, labels (V, n)).
+    (views, each an (n, 2) array, pattern index per view, labels (V, n)).
     """
     if means is None:
         if g0 != 3:
@@ -85,19 +84,18 @@ def multi_view(
         cum = patterns[x0[view]].cumsum(axis=1)
         lab = (rng.random(n)[:, None] > cum).sum(axis=1)
         labels[view] = lab
-        y = means[lab] + rng.standard_normal((n, 2))
-        views.append(ViewData(values=y, view_id=view + 1))
+        views.append(means[lab] + rng.standard_normal((n, 2)))
     return views, x0, labels
 
 
-def consensus_views(n: int, seed=0) -> tuple[list[ViewData], np.ndarray, np.ndarray]:
+def consensus_views(n: int, seed=0) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Ten 1-d views over one shared 3-group truth.
 
     View 1 sees unit Gaussians at (0, 2, 2), so it carries two clusters;
     view 2 sees (0, 1, 2), three clusters one noise sd apart that overlap
     heavily (Bayes labels from view 2 alone reach NMI 0.24 against z at
     n=200, seed 0); views 3-10 are pure N(0, 1) noise.  Returns (views,
-    per-view truth labels (10, n), structure flags).
+    each an (n, 1) array, per-view truth labels (10, n), structure flags).
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -105,12 +103,9 @@ def consensus_views(n: int, seed=0) -> tuple[list[ViewData], np.ndarray, np.ndar
     z = rng.integers(0, 3, size=n)
     means1 = np.array([0.0, 2.0, 2.0])
     means2 = np.array([0.0, 1.0, 2.0])
-    views = [
-        ViewData(values=means1[z] + rng.standard_normal(n), view_id=1),
-        ViewData(values=means2[z] + rng.standard_normal(n), view_id=2),
-    ]
-    for k in range(3, 11):
-        views.append(ViewData(values=rng.standard_normal(n), view_id=k))
+    views = [means1[z] + rng.standard_normal(n), means2[z] + rng.standard_normal(n)]
+    views += [rng.standard_normal(n) for _ in range(8)]
+    views = [y[:, None] for y in views]
     labels = np.zeros((10, n), dtype=int)
     labels[0] = (z > 0).astype(int)
     labels[1] = z

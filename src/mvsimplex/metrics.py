@@ -55,10 +55,12 @@ def nmi(a, b) -> float:
 
 def mad(a: np.ndarray, b: np.ndarray) -> float:
     """Median absolute deviation between two square matrices over the
-    strictly lower triangle (the diagonal never participates)."""
+    strictly lower triangle (the diagonal never participates), so each
+    needs at least 2 rows."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need two square matrices of equal shape, got {a.shape} and {b.shape}")
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
+        raise ValueError(f"need two square matrices of equal shape with at least 2 rows, "
+                         f"got {a.shape} and {b.shape}")
     ii, jj = np.tril_indices(a.shape[0], k=-1)
     return float(np.median(np.abs(a[ii, jj] - b[ii, jj])))

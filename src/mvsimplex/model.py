@@ -245,7 +245,7 @@ def precompute_kappa_gamma(S: SimilarityTensor, eta: np.ndarray) -> KappaGamma:
 
 
 def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: float, n_reg: float,
-                           pair_work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                           pair_work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Analytic gradient, with respect to the logits (live.size, n, g) of
     the entries precomp.live, the only ones the M step moves, of the
     kappa/gamma data loss plus n_reg times the group penalties (the
@@ -255,8 +255,8 @@ def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: flo
     logit(p*) = log(p* / (1 - p*)); chaining through P* = W W^T gives G W
     per parameterization, and the softmax rows map weight-space gradients
     u to w * (u - <u, w>).  pair_work, two (live.size, n, n) arrays,
-    holds P* and G; a caller that passes the same pair on every call
-    saves their allocation, and without it the call makes its own.
+    holds P* and G; their contents on entry do not matter, so a caller
+    can pass the same pair to every call.
     """
     W = row_softmax(logits)
     h = np.log(W)
@@ -265,9 +265,6 @@ def expected_loss_gradient(logits: np.ndarray, precomp: KappaGamma, epsilon: flo
     col_norm = np.sqrt(GROUP_SMOOTHING + (h * h).sum(axis=1, keepdims=True))
     grad_w = np.multiply(n_reg, h, out=h)
     grad_w /= W * col_norm
-    if pair_work is None:
-        live, n, _ = W.shape
-        pair_work = np.empty((live, n, n)), np.empty((live, n, n))
     P, G = pair_work
     np.matmul(W, W.transpose(0, 2, 1), out=P)
     np.clip(P, _P_LO, _P_HI, out=P)

@@ -39,9 +39,9 @@ def sample_partition_labels(P: np.ndarray, size: int, rng: np.random.Generator) 
 
     Vectorized across draws: each step draws one uniform per existing
     cluster slot and joins the first accepting cluster, which has the same
-    law as stopping at the first acceptance.
+    law as stopping at the first acceptance.  P, a square float array of
+    probabilities, is not checked here; verify_theorem checks it once.
     """
-    P = _check_probability_matrix(P)
     n = P.shape[0]
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -69,12 +69,8 @@ def sample_partition_labels(P: np.ndarray, size: int, rng: np.random.Generator) 
 
 
 def canonicalize_labels(lab: np.ndarray) -> np.ndarray:
-    """Relabel each row so cluster ids appear in first-occurrence order.
-    Labels must lie in [0, n), n the row length."""
-    lab = np.asarray(lab)
-    single = lab.ndim == 1
-    if single:
-        lab = lab[None, :]
+    """Relabel each row of a 2-d label array so cluster ids appear in
+    first-occurrence order.  Labels must lie in [0, n), n the row length."""
     t, n = lab.shape
     _check_label_range(lab)
     # left to right, a label seen for the first time in its row takes the
@@ -91,7 +87,7 @@ def canonicalize_labels(lab: np.ndarray) -> np.ndarray:
         seen[key] = ids
         count += new
         canon[:, k] = ids
-    return canon[0] if single else canon
+    return canon
 
 
 _KEY_MAX = np.iinfo(np.int64).max
@@ -147,18 +143,17 @@ def _distinct_partitions(P: np.ndarray, size: int,
     return _unique_rows(canonicalize_labels(raw), raw_counts)
 
 
-def bound_rhs(P: np.ndarray, s_list, M: int, delta: float) -> float:
-    """Right-hand side of the risk bound:
+def bound_rhs(P: np.ndarray, s_list, delta: float) -> float:
+    """Right-hand side of the risk bound over the M = len(s_list) views:
 
     (1/M) [ sum_v sum_{j<i} kl(p_ij, s_ij^(v)) / M
             + log(exp(1/(12M)) sqrt(pi M / 2) + 2) - log(delta) ]
     """
+    M = len(s_list)
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if len(s_list) != M:
-        raise ValueError(f"expected {M} similarity matrices, got {len(s_list)}")
     P = _check_probability_matrix(P)
     ii, jj = pair_indices(P.shape[0])
     p_flat = P[ii, jj]
@@ -184,6 +179,7 @@ class BoundReport:
     holds_each: np.ndarray   # per replication; False where skipped
     skipped_mask: np.ndarray
     holds_fraction: float
+    target_fraction: float   # holds when holds_fraction reaches it
     holds: bool
 
 
@@ -228,7 +224,6 @@ class _LossTable:
 def verify_theorem(
     P: np.ndarray,
     s_list,
-    M: int,
     delta: float,
     replications: int,
     seed,
@@ -238,25 +233,27 @@ def verify_theorem(
 ) -> BoundReport:
     """Replicated check of the risk bound.
 
-    Each replication draws M ground-truth partitions from the sampler on P,
-    estimates the view-averaged empirical risk and the generalization risk
-    against the same sampler by shared Monte-Carlo draws
-    (generalization_draws fresh ground truths), and
-    compares KL(generalization risk || empirical risk) with the bound.
+    Each replication draws M = len(s_list) ground-truth partitions from the
+    sampler on P, estimates the view-averaged empirical risk and the
+    generalization risk against the same sampler by shared Monte-Carlo
+    draws (generalization_draws fresh ground truths), and compares
+    KL(generalization risk || empirical risk) with the bound.
     Both batches of draws enter the risks as their distinct partitions and
     counts: each batch is deduped as raw label rows, only the distinct rows
     are canonicalized, and the canonical rows are deduped again.  The
     result, and so every risk, is what canonicalizing every draw would give.
     Replications whose risks land outside (0, 1) fall outside the bound's
-    own precondition; they are skipped and counted.
+    own precondition; they are skipped, their lhs NaN, and counted.  The
+    bound holds when the fraction of evaluated replications within it
+    reaches 1 - delta - mc_slack.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    rhs = bound_rhs(P, s_list, M, delta)
+    rhs = bound_rhs(P, s_list, delta)  # checks P, once for all the draws
+    P = np.asarray(P, dtype=float)
+    M = len(s_list)
     table = _LossTable()
     lhs = np.full(replications, np.nan)
-    holds_each = np.zeros(replications, dtype=bool)
-    skipped_mask = np.zeros(replications, dtype=bool)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
         rng = np.random.default_rng(child)
         z0_ids = table.intern(canonicalize_labels(sample_partition_labels(P, M, rng)))
@@ -271,17 +268,17 @@ def verify_theorem(
         gen_risk = float(gen_freq @ np.array(
             [phi_freq @ table.loss_vector(phi_ids, g) for g in gen_ids]))
 
-        if not (0.0 < emp_risk < 1.0) or not (0.0 < gen_risk < 1.0):
-            skipped_mask[r] = True
-            continue
-        lhs[r] = kl_bernoulli(gen_risk, emp_risk)
-        holds_each[r] = lhs[r] <= rhs
+        if 0.0 < emp_risk < 1.0 and 0.0 < gen_risk < 1.0:
+            lhs[r] = kl_bernoulli(gen_risk, emp_risk)
 
+    skipped_mask = np.isnan(lhs)
+    holds_each = lhs <= rhs  # False where lhs is NaN
     evaluated = int((~skipped_mask).sum())
     fraction = float(holds_each[~skipped_mask].mean()) if evaluated > 0 else 0.0
+    target = 1.0 - delta - mc_slack
     return BoundReport(
         M=M, delta=delta, replications=replications, evaluated=evaluated,
-        skipped=int(skipped_mask.sum()), rhs=rhs, lhs=lhs, holds_each=holds_each,
-        skipped_mask=skipped_mask, holds_fraction=fraction,
-        holds=fraction >= 1.0 - delta - mc_slack,
+        skipped=replications - evaluated, rhs=rhs, lhs=lhs, holds_each=holds_each,
+        skipped_mask=skipped_mask, holds_fraction=fraction, target_fraction=target,
+        holds=fraction >= target,
     )

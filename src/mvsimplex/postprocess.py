@@ -75,17 +75,18 @@ class EntryEstimate:
     structured: bool             # > 1 pointwise label once columns <= epsilon are zeroed
 
 
-def view_estimates(state: FitState, seed=0) -> tuple[np.ndarray, dict[int, EntryEstimate]]:
+def view_estimates(state: FitState) -> tuple[np.ndarray, dict[int, EntryEstimate]]:
     """(x_hat, estimates): each view's most probable entry (ties to the
     lowest index) and, in ascending entry order, one EntryEstimate for
     every entry in x_hat.
 
-    Entry x's spectral K-means seed is SeedSequence(seed).spawn(d)[x].
+    Entry x's spectral K-means seed is SeedSequence(seed).spawn(d)[x],
+    seed being the fit's state.config.seed.
     """
     x_hat = state.eta.argmax(axis=1)
     weights = state.weights
     eps = state.config.epsilon
-    children = np.random.SeedSequence(seed).spawn(weights.shape[0])
+    children = np.random.SeedSequence(state.config.seed).spawn(weights.shape[0])
     estimates = {}
     for x in np.unique(x_hat).tolist():
         w = weights[x]

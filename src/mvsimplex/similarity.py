@@ -21,35 +21,18 @@ DEFAULT_QUANTILE = 0.1
 CLAMP = (1e-6, 1.0 - 1e-6)
 
 
-@dataclass
-class ViewData:
-    """One view of the data: rows are items, columns are this view's variables."""
-
-    values: np.ndarray
-    view_id: int = 1
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        if self.values.ndim != 2:
-            raise ValueError(f"view {self.view_id}: values must be 2-d, got shape {self.values.shape}")
-
-
-def pairwise_distances(view: ViewData) -> np.ndarray:
-    """Euclidean distance matrix of a view.
+def pairwise_distances(y: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix of the rows of a 2-d float array.
 
     The squared differences are added one coordinate at a time, in column
     order, as pdist adds them, so each distance has pdist's bits.
     (a - b)^2 equals (b - a)^2 exactly, so the result is exactly symmetric
-    with a zero diagonal.  Rejects non-finite input naming the view and
-    the row.
+    with a zero diagonal.  Rejects non-finite input naming the row.
     """
-    y = view.values
     bad = ~np.isfinite(y)
     if bad.any():
         row = int(np.nonzero(bad.any(axis=1))[0][0])
-        raise ValueError(f"view {view.view_id}: non-finite value in row {row}")
+        raise ValueError(f"non-finite value in row {row}")
     n = y.shape[0]
     dist = np.zeros((n, n))
     diff = np.empty_like(dist)
@@ -95,16 +78,12 @@ def local_bandwidths(dist: np.ndarray, q: float = DEFAULT_QUANTILE) -> np.ndarra
     return sigma
 
 
-def similarity_matrix(view: ViewData, q: float = DEFAULT_QUANTILE) -> np.ndarray:
-    """Locally scaled similarities for one view, clamped into CLAMP.
-
-    A bandwidth error names the view."""
+def similarity_matrix(y: np.ndarray, q: float = DEFAULT_QUANTILE) -> np.ndarray:
+    """Locally scaled similarities of the rows of a 2-d float array (one
+    view), clamped into CLAMP."""
     s_min, s_max = CLAMP
-    dist = pairwise_distances(view)
-    try:
-        sigma = local_bandwidths(dist, q)
-    except ValueError as err:
-        raise ValueError(f"view {view.view_id}: {err}") from err
+    dist = pairwise_distances(y)
+    sigma = local_bandwidths(dist, q)
     # s = exp(-dist / sqrt(sigma_i sigma_j)), built in one buffer
     s = np.multiply.outer(sigma, sigma)
     np.sqrt(s, out=s)
@@ -154,18 +133,18 @@ class SimilarityTensor:
         return self.logit.shape[0]
 
     @classmethod
-    def from_views(cls, views: Sequence[ViewData],
-                   q: float = DEFAULT_QUANTILE) -> "SimilarityTensor":
-        """Build one view's dense similarities at a time, keep only its
-        pairs in its row of logit and turn that row into log-odds, so the
-        peak holds the (V, npairs) log-odds, one view's dense matrix and a
-        row of log(1 - s), and no (V, n, n) array."""
+    def from_views(cls, views: Sequence, q: float = DEFAULT_QUANTILE) -> "SimilarityTensor":
+        """Build the tensor of views given as arrays of items by variables,
+        a 1-d array being one variable.  A ValueError about one view names
+        it by its 1-based position k, as "view k: ...".
+
+        One view's dense similarities are built at a time; only its pairs
+        are kept, in its row of logit, and that row is turned into
+        log-odds, so the peak holds the (V, npairs) log-odds, one view's
+        dense matrix and a row of log(1 - s), and no (V, n, n) array."""
         if len(views) == 0:
             raise ValueError("no views given")
-        sizes = {v.values.shape[0] for v in views}
-        if len(sizes) != 1:
-            raise ValueError(f"views disagree on item count: {sorted(sizes)}")
-        n = sizes.pop()
+        n = len(views[0]) if np.ndim(views[0]) else 0  # a 0-d view fails in the loop
         ii, jj = pair_indices(n)
         flat = ii * n + jj
         logit = np.empty((len(views), ii.size))
@@ -173,7 +152,16 @@ class SimilarityTensor:
         log1m = np.empty(ii.size)
         for k, view in enumerate(views):
             row = logit[k]
-            np.take(similarity_matrix(view, q), flat, out=row)
+            try:
+                y = np.asarray(view, dtype=float)
+                y = y[:, None] if y.ndim == 1 else y
+                if y.ndim != 2:
+                    raise ValueError(f"values must be 2-d, got shape {y.shape}")
+                if y.shape[0] != n:
+                    raise ValueError(f"{y.shape[0]} items where view 1 has {n}")
+                np.take(similarity_matrix(y, q), flat, out=row)
+            except ValueError as err:
+                raise ValueError(f"view {k + 1}: {err}") from err
             _to_log_odds(row, log1m)
             log1m_sum[k] = log1m.sum()
         return cls(logit, log1m_sum, n)

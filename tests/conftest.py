@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from mvsimplex.model import ModelConfig, fit
-from mvsimplex.similarity import SimilarityTensor, ViewData, similarity_matrix
+from mvsimplex.similarity import SimilarityTensor, similarity_matrix
 
 
-def make_views(seed: int, n_views: int = 3, n: int = 15, p: int = 2) -> list[ViewData]:
+def make_views(seed: int, n_views: int = 3, n: int = 15, p: int = 2) -> list[np.ndarray]:
     """Random-data views for algebra tests."""
     rng = np.random.default_rng(seed)
-    return [ViewData(rng.normal(size=(n, p)), view_id=v + 1) for v in range(n_views)]
+    return [rng.normal(size=(n, p)) for _ in range(n_views)]
 
 
 def make_tensor(seed: int, n_views: int = 3, n: int = 15, p: int = 2) -> SimilarityTensor:
@@ -36,6 +36,6 @@ def make_blobs(seed: int, n_per: int = 20, centers=((0.0, 0.0), (8.0, 8.0))):
 def two_blob_fit():
     """One shared small fit on clean 2-cluster data (d=1, g=2)."""
     pts, labels = make_blobs(0)
-    S = SimilarityTensor.from_views([ViewData(pts)])
+    S = SimilarityTensor.from_views([pts])
     state = fit(S, ModelConfig(d=1, g=2, seed=0))
     return S, state, labels

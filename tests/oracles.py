@@ -375,17 +375,18 @@ class LossTableReference:
         return np.array([self.loss(int(a), b_id) for a in a_ids])
 
 
-def verify_theorem_reference(generator, P, s_list, M: int, delta: float,
+def verify_theorem_reference(generator, P, s_list, delta: float,
                              replications: int, seed, empirical_draws: int = 2000,
                              generalization_draws: int = 10_000):
     """The replicated bound check with np.unique(axis=0) dedupe, the dict
-    loss table and the reference sampler and canonicalizer.  Returns
-    (lhs, holds_each, skipped_mask); the library must match them bit for
-    bit."""
+    loss table and the reference sampler and canonicalizer, skipping a
+    replication as soon as its risks leave (0, 1).  Returns (lhs,
+    holds_each, skipped_mask); the library must match them bit for bit."""
     from mvsimplex.partition import bound_rhs
     from mvsimplex.model import kl_bernoulli
 
-    rhs = bound_rhs(P, s_list, M, delta)
+    M = len(s_list)
+    rhs = bound_rhs(P, s_list, delta)
     table = LossTableReference()
     lhs = np.full(replications, np.nan)
     holds_each = np.zeros(replications, dtype=bool)
@@ -534,17 +535,25 @@ def expected_loss_gradient_reference(logits, precomp, epsilon, n_reg):
     return W * (grad_w - inner)
 
 
+def loss_gradient(logits, precomp, epsilon, n_reg):
+    """The library's expected_loss_gradient, given a new pair of
+    (live, n, n) work arrays."""
+    from mvsimplex import model
+
+    live, n, _ = logits.shape
+    work = np.empty((live, n, n)), np.empty((live, n, n))
+    return model.expected_loss_gradient(logits, precomp, epsilon, n_reg, work)
+
+
 def adam_descend_reference(logits, precomp, config, n_reg):
     """The M-step Adam loop in its textbook form, with fresh moment and
     bias-corrected arrays on every step, on the live entries' rows
     (precomp.live) alone.  The library updates in place in the same
     operation order, which must not move a bit of the result."""
-    from mvsimplex import model
-
     out = logits.copy()
     out[precomp.live] = _textbook_adam(
         logits[precomp.live], config,
-        lambda x: model.expected_loss_gradient(x, precomp, config.epsilon, n_reg))
+        lambda x: loss_gradient(x, precomp, config.epsilon, n_reg))
     return out
 
 
@@ -663,7 +672,7 @@ def consensus_oracle_nmi(views, truth, n_groups: int = 3, seed=0) -> float:
         return lambda y: -0.5 * math.log(2.0 * math.pi) - 0.5 * (y[:, 0] - mean) ** 2
 
     mats = [
-        oracle_coassignment(view.values, [gauss(m) for m in means], weights)
+        oracle_coassignment(view, [gauss(m) for m in means], weights)
         for view, (means, weights) in zip(views, CONSENSUS_VIEW_MIXTURES)
     ]
     return nmi(spectral_labels(np.mean(mats, axis=0), n_groups, seed), truth)

@@ -234,6 +234,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert ":2:" in err
 
+    def test_bad_config_value_names_file_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("seed = 2\nn = abc\n")
+        assert run("simulate", "--out", tmp_path / "o", "--config", cfg) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == (f"error: {cfg}: n = 'abc': "
+                       "invalid literal for int() with base 10: 'abc'")
+        # a flag replaces the bad value, which is then never converted
+        assert run("simulate", "--out", tmp_path / "o", "--config", cfg, "--n", 5) == 0
+
     def test_rerun_is_byte_identical(self, tmp_path):
         data_csv = tmp_path / "data.csv"
         write_blob_csv(data_csv)
@@ -301,6 +311,14 @@ class TestMetrics:
         np.savetxt(b, np.array([[1.0, 0.5], [0.5, 1.0]]), delimiter=",")
         assert run("metrics", "--kind", "mad", "--a", a, "--b", b) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.3)
+
+    def test_mad_on_one_item_fails(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("0.5\n")
+        assert run("metrics", "--kind", "mad", "--a", a, "--b", a) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 2 rows" in captured.err
 
 
 class TestScreen:

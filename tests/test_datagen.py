@@ -11,7 +11,7 @@ from mvsimplex.datagen import (
     screen_columns,
     single_view,
 )
-from mvsimplex.similarity import ViewData
+from mvsimplex.similarity import SimilarityTensor
 from oracles import mixture_log_densities
 
 
@@ -19,15 +19,15 @@ class TestSingleView:
     @pytest.mark.parametrize("setting", SINGLE_VIEW_SETTINGS)
     def test_shapes_and_labels(self, setting):
         view, z = single_view(setting, 50, seed=1)
-        assert isinstance(view, ViewData)
-        assert view.values.shape == (50, 2)
+        assert isinstance(view, np.ndarray) and view.dtype == float
+        assert view.shape == (50, 2)
         assert z.shape == (50,)
         assert set(np.unique(z)) <= {0, 1}
 
     def test_deterministic(self):
         v1, z1 = single_view("b", 30, seed=9)
         v2, z2 = single_view("b", 30, seed=9)
-        np.testing.assert_array_equal(v1.values, v2.values)
+        np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(z1, z2)
 
     def test_labels_roughly_balanced(self):
@@ -40,19 +40,17 @@ class TestSingleView:
         for setting in ("a", "b", "c"):
             view, z = single_view(setting, 2000, seed=3)
             gaps.append(np.linalg.norm(
-                view.values[z == 1].mean(axis=0) - view.values[z == 0].mean(axis=0)))
+                view[z == 1].mean(axis=0) - view[z == 0].mean(axis=0)))
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_setting_d_supports(self):
-        view, z = single_view("d", 3000, seed=5)
-        y = view.values
+        y, z = single_view("d", 3000, seed=5)
         assert (y[z == 0] >= -4.0).all()       # Exp(1) - 4 componentwise
         assert (y[z == 1] <= 0.0).all()        # -Exp(1) componentwise
         assert y[z == 0].max() > 0.0           # exponential tail crosses zero
 
     def test_setting_e_supports(self):
-        view, z = single_view("e", 3000, seed=6)
-        y = view.values
+        y, z = single_view("e", 3000, seed=6)
         assert (y[z == 0] >= 0.0).all()
         assert (y[z == 1, 0] >= 2.0).all()
         assert (y[z == 1, 1] >= 15.0).all()
@@ -61,7 +59,7 @@ class TestSingleView:
 
     def test_setting_f_heavy_tails(self):
         view, _ = single_view("f", 3000, seed=7)
-        spread = np.abs(view.values).max()
+        spread = np.abs(view).max()
         assert spread > 50.0                   # Cauchy draws produce far outliers
 
     def test_validation(self):
@@ -116,7 +114,7 @@ class TestMultiView:
     def test_shapes(self):
         views, x0, labels = multi_view(n=40, v=12, d0=4, g0=3, seed=2)
         assert len(views) == 12
-        assert all(v.values.shape == (40, 2) for v in views)
+        assert all(v.shape == (40, 2) for v in views)
         assert x0.shape == (12,)
         assert labels.shape == (12, 40)
         assert x0.min() >= 0 and x0.max() < 4
@@ -132,12 +130,15 @@ class TestMultiView:
             assert abs(a.mean() - b.mean()) < 0.1
 
     def test_view_ids_are_one_based(self):
+        # a view is named by its 1-based position in the list
         views, _, _ = multi_view(n=10, v=3, seed=0)
-        assert [v.view_id for v in views] == [1, 2, 3]
+        views[2][4, 0] = np.inf
+        with pytest.raises(ValueError, match="^view 3: non-finite value in row 4$"):
+            SimilarityTensor.from_views(views)
 
     def test_cluster_means_drive_geometry(self):
         views, x0, labels = multi_view(n=300, v=2, d0=1, g0=3, seed=8)
-        y, lab = views[0].values, labels[0]
+        y, lab = views[0], labels[0]
         for k in range(3):
             if (lab == k).sum() > 10:
                 center = y[lab == k].mean(axis=0)
@@ -158,17 +159,16 @@ class TestMultiView:
         a = multi_view(n=15, v=4, seed=11)
         b = multi_view(n=15, v=4, seed=11)
         np.testing.assert_array_equal(a[1], b[1])
-        np.testing.assert_array_equal(a[0][2].values, b[0][2].values)
+        np.testing.assert_array_equal(a[0][2], b[0][2])
 
 
 class TestConsensusViews:
     def test_shapes_and_flags(self):
         views, labels, structured = consensus_views(80, seed=1)
         assert len(views) == 10
-        assert all(v.values.shape == (80, 1) for v in views)
+        assert all(v.shape == (80, 1) for v in views)
         assert labels.shape == (10, 80)
         assert structured.tolist() == [True, True] + [False] * 8
-        assert [v.view_id for v in views] == list(range(1, 11))
 
     def test_view1_merges_upper_groups(self):
         views, labels, _ = consensus_views(500, seed=3)
@@ -181,11 +181,11 @@ class TestConsensusViews:
     def test_structured_views_carry_signal(self):
         views, labels, _ = consensus_views(2000, seed=5)
         # view 2 group means sit near 0, 1, 2
-        y = views[1].values
+        y = views[1]
         for k, m in enumerate((0.0, 1.0, 2.0)):
             assert abs(y[labels[1] == k].mean() - m) < 0.15
         # noise views have no mean structure
-        y3 = views[4].values
+        y3 = views[4]
         assert abs(y3.mean()) < 0.1
 
     def test_validation(self):

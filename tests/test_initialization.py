@@ -11,7 +11,7 @@ from mvsimplex.initialization import (
 )
 from mvsimplex.metrics import nmi
 from mvsimplex.model import ModelConfig, reg_loss
-from mvsimplex.similarity import SimilarityTensor, ViewData, pair_indices
+from mvsimplex.similarity import SimilarityTensor, pair_indices
 from conftest import make_blobs, make_dense, make_tensor
 from oracles import kmeans_pp_reference
 
@@ -99,7 +99,7 @@ def test_init_assignment_groups_views_by_pattern():
     views = []
     for v in range(6):
         base = pts_a if v < 3 else pts_b
-        views.append(ViewData(base + rng.normal(scale=0.05, size=base.shape), view_id=v + 1))
+        views.append(base + rng.normal(scale=0.05, size=base.shape))
     S = SimilarityTensor.from_views(views)
     labels = init_assignment(S, 2, seed=0)
     truth = np.array([0, 0, 0, 1, 1, 1])

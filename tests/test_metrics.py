@@ -101,6 +101,14 @@ def test_mad_validation():
         mad(np.zeros((3, 3)), np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_mad_needs_two_rows(n):
+    # fewer than 2 rows leave no pair below the diagonal to take a median of
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        mad(np.zeros((n, n)), np.zeros((n, n)))
+    assert mad(np.zeros((2, 2)), np.ones((2, 2))) == 1.0
+
+
 def _gauss_logpdf(mean):
     def f(y):
         diff = y - np.asarray(mean)[None, :]

@@ -22,7 +22,7 @@ from mvsimplex.model import (
     view_divergences,
 )
 from mvsimplex.postprocess import view_estimates
-from mvsimplex.similarity import SimilarityTensor, ViewData
+from mvsimplex.similarity import SimilarityTensor
 from conftest import make_blobs, make_dense, make_tensor
 from oracles import (
     adam_descend_every_entry,
@@ -125,7 +125,7 @@ def _three_blobs():
     centers = np.array([[0.0, 0.0], [6.0, 6.0], [-6.0, 6.0]])
     z = np.repeat([0, 1, 2], 10)
     y = centers[z] + rng.standard_normal((30, 2))
-    return SimilarityTensor.from_views([ViewData(y)], q=0.1), z
+    return SimilarityTensor.from_views([y], q=0.1), z
 
 
 def _relative_decreases(history):
@@ -136,7 +136,7 @@ def _relative_decreases(history):
 def test_fit_merges_split_columns_on_three_blobs():
     S, z = _three_blobs()
     state = fit(S, ModelConfig(d=1, g=6, seed=0))
-    _, ests = view_estimates(state, seed=0)
+    _, ests = view_estimates(state)
     est = ests[0]
     assert est.g_hat == 3
     assert nmi(est.labels_pointwise, z) == pytest.approx(1.0)
@@ -181,8 +181,8 @@ def _two_structure_views():
     # two views of two blobs and two of three blobs: with d=2 each group
     # keeps its own catalog entry through the fit
     three = ((0.0, 0.0), (6.0, 6.0), (-6.0, 6.0))
-    views = [ViewData(make_blobs(s, n_per=15)[0]) for s in (0, 1)]
-    views += [ViewData(make_blobs(s, n_per=10, centers=three)[0]) for s in (2, 3)]
+    views = [make_blobs(s, n_per=15)[0] for s in (0, 1)]
+    views += [make_blobs(s, n_per=10, centers=three)[0] for s in (2, 3)]
     return SimilarityTensor.from_views(views, q=0.1)
 
 
@@ -333,7 +333,7 @@ def test_fit_loss_history_is_finite_and_mostly_decreasing():
 
 def test_fit_two_blobs_perfect_labels(two_blob_fit):
     S, state, labels = two_blob_fit
-    _, ests = view_estimates(state, seed=0)
+    _, ests = view_estimates(state)
     est = ests[0]
     assert nmi(est.labels_joint, labels) == pytest.approx(1.0)
     assert est.g_hat == 2
@@ -455,9 +455,9 @@ def test_load_rejects_foreign_json(tmp_path):
 
 def test_fit_on_clean_single_view_is_stable_across_restart_seeds():
     pts, labels = make_blobs(3, n_per=15)
-    S = SimilarityTensor.from_views([ViewData(pts)])
+    S = SimilarityTensor.from_views([pts])
     for seed in (0, 1):
         state = fit(S, ModelConfig(d=1, g=2, seed=seed))
-        _, ests = view_estimates(state, seed=seed)
+        _, ests = view_estimates(state)
         est = ests[0]
         assert nmi(est.labels_pointwise, labels) == pytest.approx(1.0)

@@ -72,10 +72,10 @@ class TestClusterGraph:
 
 class TestCanonicalizeLabels:
     def test_single_row(self):
-        assert canonicalize_labels(np.array([2, 2, 0, 1])).tolist() == [0, 0, 1, 2]
+        assert canonicalize_labels(np.array([[2, 2, 0, 1]])).tolist() == [[0, 0, 1, 2]]
 
     def test_out_of_range_ids(self):
-        for lab in ([-5, 7, -5], [0, 3, 0], [[0, 1, 2], [0, -1, 2]]):
+        for lab in ([[-5, 7, -5]], [[0, 3, 0]], [[0, 1, 2], [0, -1, 2]]):
             with pytest.raises(ValueError, match=r"\[0, 3\)"):
                 canonicalize_labels(np.array(lab))
 
@@ -84,7 +84,7 @@ class TestCanonicalizeLabels:
         lab = rng.integers(0, 4, size=(20, 6))
         batch = canonicalize_labels(lab)
         for row, crow in zip(lab, batch):
-            assert canonicalize_labels(row).tolist() == crow.tolist()
+            assert canonicalize_labels(row[None]).tolist() == [crow.tolist()]
 
     def test_idempotent(self):
         lab = np.array([[1, 0, 1, 2], [3, 3, 0, 0]])
@@ -103,8 +103,8 @@ class TestCanonicalizeLabels:
             want = canonicalize_labels_reference(lab)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(canonicalize_labels(lab[0] - low),
-                                          canonicalize_labels_reference(lab[0]))
+            np.testing.assert_array_equal(canonicalize_labels(lab[:1] - low),
+                                          canonicalize_labels_reference(lab[:1]))
 
     def test_rows_using_more_than_n_labels_in_all(self):
         # each row uses at most n distinct labels, but their values leave
@@ -297,7 +297,7 @@ class TestBoundRhs:
             P = (P + P.T) / 2
             s_list = [np.clip((s + s.T) / 2, 0.05, 0.95)
                       for s in rng.uniform(0.05, 0.95, size=(M, n, n))]
-            got = bound_rhs(P, s_list, M, 0.2)
+            got = bound_rhs(P, s_list, 0.2)
             want = bound_rhs_reference(P, s_list, M, 0.2)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -306,16 +306,14 @@ class TestBoundRhs:
         P = np.full((5, 5), 0.5)
         s_list = [P.copy() for _ in range(5)]
         want = (np.log(np.exp(1 / 60) * np.sqrt(5 * np.pi / 2) + 2) + np.log(5)) / 5
-        assert bound_rhs(P, s_list, 5, 0.2) == pytest.approx(want, rel=1e-15)
+        assert bound_rhs(P, s_list, 0.2) == pytest.approx(want, rel=1e-15)
 
     def test_validation(self):
         P = np.full((3, 3), 0.5)
         with pytest.raises(ValueError, match="M must be"):
-            bound_rhs(P, [P], 1, 0.2)
+            bound_rhs(P, [P], 0.2)
         with pytest.raises(ValueError, match="delta"):
-            bound_rhs(P, [P, P], 2, 0.0)
-        with pytest.raises(ValueError, match="expected 2"):
-            bound_rhs(P, [P], 2, 0.2)
+            bound_rhs(P, [P, P], 0.0)
 
 
 class TestVerifyTheorem:
@@ -325,7 +323,7 @@ class TestVerifyTheorem:
         P = (P + P.T) / 2
         np.fill_diagonal(P, 1.0)
         s_list = [P.copy() for _ in range(3)]
-        rep = verify_theorem(P, s_list, M=3, delta=0.2,
+        rep = verify_theorem(P, s_list, delta=0.2,
                              replications=8, seed=5, empirical_draws=300,
                              generalization_draws=600)
         assert isinstance(rep, BoundReport)
@@ -337,16 +335,19 @@ class TestVerifyTheorem:
         if rep.evaluated:
             assert rep.holds_fraction == pytest.approx(
                 rep.holds_each[~rep.skipped_mask].mean())
-        assert rep.holds == (rep.holds_fraction >= 1.0 - 0.2 - 0.03)
+        assert rep.target_fraction == 1.0 - 0.2 - 0.03
+        assert rep.holds == (rep.holds_fraction >= rep.target_fraction)
+        np.testing.assert_array_equal(rep.skipped_mask, np.isnan(rep.lhs))
+        assert rep.M == 3
 
     def test_deterministic_in_seed(self):
         P = np.full((4, 4), 0.6)
         np.fill_diagonal(P, 1.0)
         s_list = [P.copy(), P.copy()]
-        a = verify_theorem(P, s_list, M=2, delta=0.3,
+        a = verify_theorem(P, s_list, delta=0.3,
                            replications=4, seed=9, empirical_draws=200,
                            generalization_draws=400)
-        b = verify_theorem(P, s_list, M=2, delta=0.3,
+        b = verify_theorem(P, s_list, delta=0.3,
                            replications=4, seed=9, empirical_draws=200,
                            generalization_draws=400)
         np.testing.assert_array_equal(a.lhs, b.lhs)
@@ -365,10 +366,10 @@ class TestVerifyTheorem:
                 P = random_probability_matrix(np.random.default_rng((n, M, seed)), n,
                                               binary=seed == 2)
             s_list = [np.clip(P, 0.05, 0.95)] * M
-            rep = verify_theorem(P, s_list, M, 0.2, replications=5,
+            rep = verify_theorem(P, s_list, 0.2, replications=5,
                                  seed=seed, **draws)
             lhs, holds_each, skipped = verify_theorem_reference(
-                ReferenceSampler(P), P, s_list, M, 0.2, replications=5, seed=seed, **draws)
+                ReferenceSampler(P), P, s_list, 0.2, replications=5, seed=seed, **draws)
             np.testing.assert_array_equal(rep.lhs, lhs)
             np.testing.assert_array_equal(rep.holds_each, holds_each)
             np.testing.assert_array_equal(rep.skipped_mask, skipped)
@@ -386,9 +387,9 @@ class TestVerifyTheorem:
         P = two_block_matrix(16, 0.99, 0.1)
         s_list = [np.clip(P, 0.05, 0.95)] * M
         for seed in range(2):
-            rep = verify_theorem(P, s_list, M, 0.2, replications=3, seed=seed, **draws)
+            rep = verify_theorem(P, s_list, 0.2, replications=3, seed=seed, **draws)
             lhs, holds_each, skipped = verify_theorem_reference(
-                ReferenceSampler(P), P, s_list, M, 0.2, replications=3, seed=seed, **draws)
+                ReferenceSampler(P), P, s_list, 0.2, replications=3, seed=seed, **draws)
             np.testing.assert_array_equal(rep.lhs, lhs)
             np.testing.assert_array_equal(rep.holds_each, holds_each)
             np.testing.assert_array_equal(rep.skipped_mask, skipped)
@@ -408,7 +409,7 @@ class TestVerifyTheorem:
         monkeypatch.setattr(mvsimplex.partition, "nmi", counting("lib", mvsimplex.metrics.nmi))
         monkeypatch.setattr(mvsimplex.metrics, "nmi", counting("ref", mvsimplex.metrics.nmi))
         P = two_block_matrix(5, 0.9, 0.1)
-        args = (P, [P] * 3, 3, 0.2)
+        args = (P, [P] * 3, 0.2)
         kwargs = {"replications": 6, "seed": 2, "empirical_draws": 300,
                   "generalization_draws": 600}
         verify_theorem(*args, **kwargs)
@@ -418,5 +419,27 @@ class TestVerifyTheorem:
     def test_replication_validation(self):
         P = np.full((3, 3), 0.5)
         with pytest.raises(ValueError, match="replications"):
-            verify_theorem(P, [P, P], M=2, delta=0.2,
+            verify_theorem(P, [P, P], delta=0.2,
                            replications=0, seed=0)
+
+    def test_single_matrix_rejected(self):
+        # M is the number of similarity matrices, and the bound needs two
+        P = np.full((3, 3), 0.5)
+        with pytest.raises(ValueError, match="M must be >= 2, got 1"):
+            verify_theorem(P, [P], delta=0.2, replications=1, seed=0)
+
+    def test_probabilities_checked_once(self, monkeypatch):
+        # the sampler trusts P; verify_theorem checks it once per call
+        import mvsimplex.partition
+
+        with pytest.raises(ValueError, match="0, 1"):
+            verify_theorem(np.full((3, 3), 1.5), [np.full((3, 3), 0.5)] * 2, delta=0.2,
+                           replications=1, seed=0)
+        calls = []
+        check = mvsimplex.partition._check_probability_matrix
+        monkeypatch.setattr(mvsimplex.partition, "_check_probability_matrix",
+                            lambda P: calls.append(1) or check(P))
+        P = two_block_matrix(4, 0.9, 0.1)
+        verify_theorem(P, [P] * 2, delta=0.2, replications=3, seed=0,
+                       empirical_draws=50, generalization_draws=50)
+        assert len(calls) == 1

@@ -13,7 +13,8 @@ from mvsimplex.postprocess import (
     spectral_labels,
     view_estimates,
 )
-from mvsimplex.similarity import SimilarityTensor, ViewData
+from mvsimplex.similarity import SimilarityTensor
+from conftest import make_blobs
 from oracles import consensus_reference
 
 
@@ -38,7 +39,7 @@ def x_hat_of(eta):
     """view_estimates' x_hat for eta over d = eta.shape[1] two-block entries."""
     eta = np.asarray(eta, dtype=float)
     w = np.array([[0.9, 0.1], [0.1, 0.9]])
-    x_hat, _ = view_estimates(state_from_weights([w] * eta.shape[1], eta), seed=0)
+    x_hat, _ = view_estimates(state_from_weights([w] * eta.shape[1], eta))
     return x_hat
 
 
@@ -90,7 +91,7 @@ class TestEffectiveCounts:
         w1 = np.array([[0.98, 0.01, 0.01], [0.98, 0.01, 0.01], [0.98, 0.01, 0.01]])
         eta = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
         st = state_from_weights([w0, w1], eta)
-        x_hat, ests = view_estimates(st, seed=0)
+        x_hat, ests = view_estimates(st)
         assert len(ests) == 2
         assert [ests[x].g_hat for x in x_hat] == [2, 1, 2]
 
@@ -98,7 +99,7 @@ class TestEffectiveCounts:
         w = np.array([[0.9, 0.1], [0.1, 0.9]])
         eta = np.array([[0.8, 0.2], [0.7, 0.3]])  # nobody picks param 1
         st = state_from_weights([w, w[::-1]], eta)
-        x_hat, ests = view_estimates(st, seed=0)
+        x_hat, ests = view_estimates(st)
         assert list(ests) == [0]
         assert len(x_hat) == 2
 
@@ -169,7 +170,7 @@ class TestViewEstimates:
         w1 = np.array([[0.5, 0.5], [0.6, 0.4], [0.5, 0.5]])
         eta = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9]])
         st = state_from_weights([w0, w1], eta)
-        x_hat, ests = view_estimates(st, seed=0)
+        x_hat, ests = view_estimates(st)
         assert x_hat.tolist() == [0, 0, 1]
         assert list(ests) == [0, 1]
         assert ests[x_hat[0]] is ests[x_hat[1]]
@@ -180,10 +181,29 @@ class TestViewEstimates:
         w = np.array([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.9, 0.05, 0.05]])
         eta = np.array([[1.0]])
         st = state_from_weights([w], eta[:, :1])
-        _, ests = view_estimates(st, seed=0)
+        _, ests = view_estimates(st)
         est = ests[0]
         assert est.g_hat == 2
         assert len(np.unique(est.labels_joint)) == 2
+
+    def test_spectral_seed_is_the_fit_seed(self):
+        # entry x's spectral K-means runs on SeedSequence(config.seed)'s
+        # child x, so a library caller gets the labels the CLI writes; on
+        # this fit the children of seed 0 label an entry differently
+        three = ((0.0, 0.0), (6.0, 6.0), (-6.0, 6.0))
+        views = [make_blobs(s, n_per=10, centers=three)[0] for s in (0, 1)]
+        views += [make_blobs(s, n_per=15, centers=((0.0, 0.0), (8.0, 8.0)))[0] for s in (2, 3)]
+        st = fit(SimilarityTensor.from_views(views, q=0.1), ModelConfig(d=2, g=4, seed=3))
+        x_hat, ests = view_estimates(st)
+        assert x_hat.tolist() == [1, 1, 0, 0]
+
+        def spectral_with(seed):
+            children = np.random.SeedSequence(seed).spawn(2)
+            return [spectral_labels(est.p_hat, est.g_hat, children[x]) for x, est in ests.items()]
+
+        got = [est.labels_joint for est in ests.values()]
+        assert all(map(np.array_equal, got, spectral_with(3)))
+        assert not all(map(np.array_equal, got, spectral_with(0)))
 
 
 class TestConsensus:
@@ -196,7 +216,7 @@ class TestConsensus:
 
     def test_unstructured_views_excluded(self):
         st = self.make_state()
-        x_hat, ests = view_estimates(st, seed=0)
+        x_hat, ests = view_estimates(st)
         res = consensus_matrix(x_hat, ests)
         assert isinstance(res, ConsensusResult)
         assert res.weights.tolist() == [1.0, 1.0, 0.0]
@@ -208,7 +228,7 @@ class TestConsensus:
         flat = np.array([[1.0 - 1e-4, 1e-4]] * 3)
         eta = np.array([[0.6, 0.4], [0.3, 0.7]])
         st = state_from_weights([flat, flat.copy()], eta)
-        res = consensus_matrix(*view_estimates(st, seed=0))
+        res = consensus_matrix(*view_estimates(st))
         assert res.plain_average
         assert res.weights.tolist() == [0.0, 0.0]
         stack = [w @ w.T for w in st.weights[:2]]
@@ -226,7 +246,7 @@ class TestConsensus:
                 weights = [rng.dirichlet(np.ones(g), size=n) for _ in range(n_structured)]
                 weights += [flat] * (d - n_structured)
                 st = state_from_weights(weights, rng.dirichlet(np.ones(d), size=n_views))
-                x_hat, ests = view_estimates(st, seed=0)
+                x_hat, ests = view_estimates(st)
                 res = consensus_matrix(x_hat, ests)
                 if n_structured:
                     assert 0.0 < res.weights.sum() < n_views
@@ -237,7 +257,7 @@ class TestConsensus:
 
     def test_consensus_is_convex_combination(self):
         st = self.make_state()
-        res = consensus_matrix(*view_estimates(st, seed=0))
+        res = consensus_matrix(*view_estimates(st))
         assert res.matrix.min() >= 0.0
         assert res.matrix.max() <= 1.0
         np.testing.assert_allclose(res.matrix, res.matrix.T)
@@ -249,7 +269,7 @@ class TestConsensus:
         w2 = np.array([[0.9, 0.1], [0.1, 0.9]])
         st = state_from_weights([w, w2], np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert st.config.epsilon == 1e-3
-        _, ests = view_estimates(st, seed=0)
+        _, ests = view_estimates(st)
         assert not ests[0].structured
         assert ests[1].structured
 
@@ -262,11 +282,11 @@ class TestShrinkageMonotonicity:
         centers = np.array([[0.0, 0.0], [6.0, 6.0], [-6.0, 6.0]])
         z = np.repeat([0, 1, 2], 10)
         y = centers[z] + rng.standard_normal((30, 2))
-        S = SimilarityTensor.from_views([ViewData(y)], q=0.1)
+        S = SimilarityTensor.from_views([y], q=0.1)
         counts = []
         for mult in (0.25, 1.0, 16.0):
             st = fit(S, ModelConfig(d=1, g=6, seed=0, n_reg_multiplier=mult))
-            x_hat, ests = view_estimates(st, seed=0)
+            x_hat, ests = view_estimates(st)
             counts.append(ests[x_hat[0]].g_hat)
         assert counts[0] >= counts[1] >= counts[2]
         assert counts[2] < counts[0]

@@ -10,7 +10,6 @@ PUBLIC = [
     "FitState",
     "ModelConfig",
     "SimilarityTensor",
-    "ViewData",
     "consensus_matrix",
     "consensus_views",
     "fit",
