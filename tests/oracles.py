@@ -315,16 +315,6 @@ def sample_partition_labels_reference(P, size: int, rng):
     return lab
 
 
-class ReferenceSampler:
-    """A generator for verify_theorem_reference on the reference sampler."""
-
-    def __init__(self, P):
-        self.P = np.asarray(P, dtype=float)
-
-    def sample_labels(self, rng, size: int):
-        return sample_partition_labels_reference(self.P, size, rng)
-
-
 def canonicalize_labels_reference(lab):
     """First-occurrence relabelling by the first position of each label
     (np.minimum.at) and a stable argsort of those positions."""
@@ -375,33 +365,44 @@ class LossTableReference:
         return np.array([self.loss(int(a), b_id) for a in a_ids])
 
 
-def verify_theorem_reference(generator, P, s_list, delta: float,
-                             replications: int, seed, empirical_draws: int = 2000,
-                             generalization_draws: int = 10_000):
-    """The replicated bound check with np.unique(axis=0) dedupe, the dict
-    loss table and the reference sampler and canonicalizer, skipping a
-    replication as soon as its risks leave (0, 1).  Returns (lhs,
-    holds_each, skipped_mask); the library must match them bit for bit."""
-    from mvsimplex.partition import bound_rhs
+def verify_theorem_reference(P, s_list, delta: float, replications: int, seed,
+                             empirical_draws: int = 2000, generalization_draws: int = 10_000):
+    """The replicated bound check with np.unique(axis=0) dedupe of every
+    draw, the dict loss table and the reference canonicalizer, skipping a
+    replication as soon as its risks leave (0, 1).  Draws come from the
+    reference sampler, except that for n <= 6 each batch's counts are one
+    multinomial over the library's exact law, as the library draws them,
+    expanded into one row per draw.  Returns (lhs, holds_each,
+    skipped_mask); the library must match them bit for bit."""
+    from mvsimplex.partition import _EXACT_LAW_MAX_N, _partition_law, bound_rhs
     from mvsimplex.model import kl_bernoulli
 
+    P = np.asarray(P, dtype=float)
     M = len(s_list)
     rhs = bound_rhs(P, s_list, delta)
+    law = _partition_law(P) if P.shape[0] <= _EXACT_LAW_MAX_N else None
+
+    def batch(rng, size: int):
+        if law is None:
+            return sample_partition_labels_reference(P, size, rng)
+        rows, probs = law
+        return np.repeat(rows, rng.multinomial(size, probs), axis=0)
+
     table = LossTableReference()
     lhs = np.full(replications, np.nan)
     holds_each = np.zeros(replications, dtype=bool)
     skipped_mask = np.zeros(replications, dtype=bool)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
         rng = np.random.default_rng(child)
-        z0_ids = table.intern(canonicalize_labels_reference(generator.sample_labels(rng, M)))
+        z0_ids = table.intern(
+            canonicalize_labels_reference(sample_partition_labels_reference(P, M, rng)))
         phi_uniq, phi_counts = np.unique(
-            canonicalize_labels_reference(
-                sample_partition_labels_reference(P, empirical_draws, rng)),
+            canonicalize_labels_reference(batch(rng, empirical_draws)),
             axis=0, return_counts=True)
         phi_ids = table.intern(phi_uniq)
         phi_freq = phi_counts / phi_counts.sum()
         gen_uniq, gen_counts = np.unique(
-            canonicalize_labels_reference(generator.sample_labels(rng, generalization_draws)),
+            canonicalize_labels_reference(batch(rng, generalization_draws)),
             axis=0, return_counts=True)
         gen_ids = table.intern(gen_uniq)
         gen_freq = gen_counts / gen_counts.sum()

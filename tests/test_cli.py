@@ -296,6 +296,29 @@ class TestVerifyBound:
                      "config_used.txt", "manifest.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_sampler_path_rerun_is_byte_identical(self, tmp_path):
+        # past n = 6 the draws come from the sampler, not the exact law
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run("verify-bound", "--out", out, "--n", 8, "--replications", 3,
+                       "--empirical-draws", 50, "--generalization-draws", 100) == 0
+        for name in ("bound_per_replication.csv", "bound_summary.txt",
+                     "config_used.txt", "manifest.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("flag, name", [("--empirical-draws", "empirical_draws"),
+                                            ("--generalization-draws", "generalization_draws")])
+    def test_zero_draws_rejected(self, tmp_path, capsys, flag, name):
+        assert run("verify-bound", "--out", tmp_path / "bad", "--replications", 2,
+                   flag, 0) == 2
+        assert capsys.readouterr().err.strip() == f"error: {name} must be >= 1, got 0"
+
+    @pytest.mark.parametrize("slack", ["2", "-1"])
+    def test_mc_slack_validated(self, tmp_path, capsys, slack):
+        assert run("verify-bound", "--out", tmp_path / "bad", "--replications", 2,
+                   "--mc-slack", slack) == 2
+        assert "mc_slack must lie in [0, 1 - delta)" in capsys.readouterr().err
+
 
 class TestMetrics:
     def test_nmi_prints_value(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from mvsimplex.cli import two_block_matrix
 from mvsimplex.partition import (
     BoundReport,
+    _partition_law,
     _unique_rows,
     bound_rhs,
     canonicalize_labels,
@@ -15,7 +16,6 @@ from mvsimplex.partition import (
 
 from oracles import (
     ClusterGraph,
-    ReferenceSampler,
     bound_rhs_reference,
     canonical_tuple,
     canonicalize_labels_reference,
@@ -256,6 +256,50 @@ class TestSamplers:
                 np.testing.assert_array_equal(got, want)
 
 
+class TestPartitionLaw:
+    BELL = [1, 1, 2, 5, 15, 52, 203]
+
+    @staticmethod
+    def matrix(kind, n):
+        if kind == "two_block":
+            return two_block_matrix(n, 0.9, 0.1) if n >= 2 else np.ones((1, 1))
+        return random_probability_matrix(np.random.default_rng((n, 17)), n,
+                                         binary=kind == "binary")
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kind", ["two_block", "random", "binary"])
+    def test_every_partition_matches_enumeration(self, n, kind):
+        P = self.matrix(kind, n)
+        rows, probs = _partition_law(P)
+        # all B(n) canonical partitions, zero-probability ones included,
+        # in the lexicographic order of np.unique
+        assert rows.shape == (self.BELL[n], n)
+        assert rows.dtype == np.int64
+        np.testing.assert_array_equal(np.unique(rows, axis=0), rows)
+        np.testing.assert_array_equal(canonicalize_labels(rows), rows)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        exact = exact_partition_distribution(P)
+        assert sorted(exact) == [tuple(row) for row in rows.tolist()]
+        np.testing.assert_allclose(probs, [exact[tuple(row)] for row in rows.tolist()],
+                                   rtol=0, atol=1e-12)
+
+    def test_sampler_draws_batches_only_past_six_items(self, monkeypatch):
+        # the M ground truths always come from the sampler; the batches of
+        # empirical and generalization draws only past n = 6
+        import mvsimplex.partition
+
+        sizes = []
+        sampler = mvsimplex.partition.sample_partition_labels
+        monkeypatch.setattr(mvsimplex.partition, "sample_partition_labels",
+                            lambda P, size, rng: sizes.append(size) or sampler(P, size, rng))
+        draws = {"empirical_draws": 50, "generalization_draws": 100}
+        for n, batches in ((6, []), (7, [50, 100])):
+            sizes.clear()
+            P = two_block_matrix(n, 0.9, 0.1)
+            verify_theorem(P, [P] * 3, 0.2, replications=2, seed=0, **draws)
+            assert sizes == ([3] + batches) * 2
+
+
 class TestRisks:
     def test_partition_loss_zero_on_equal(self):
         g = ClusterGraph.from_labels([0, 0, 1, 1])
@@ -369,7 +413,7 @@ class TestVerifyTheorem:
             rep = verify_theorem(P, s_list, 0.2, replications=5,
                                  seed=seed, **draws)
             lhs, holds_each, skipped = verify_theorem_reference(
-                ReferenceSampler(P), P, s_list, 0.2, replications=5, seed=seed, **draws)
+                P, s_list, 0.2, replications=5, seed=seed, **draws)
             np.testing.assert_array_equal(rep.lhs, lhs)
             np.testing.assert_array_equal(rep.holds_each, holds_each)
             np.testing.assert_array_equal(rep.skipped_mask, skipped)
@@ -389,7 +433,7 @@ class TestVerifyTheorem:
         for seed in range(2):
             rep = verify_theorem(P, s_list, 0.2, replications=3, seed=seed, **draws)
             lhs, holds_each, skipped = verify_theorem_reference(
-                ReferenceSampler(P), P, s_list, 0.2, replications=3, seed=seed, **draws)
+                P, s_list, 0.2, replications=3, seed=seed, **draws)
             np.testing.assert_array_equal(rep.lhs, lhs)
             np.testing.assert_array_equal(rep.holds_each, holds_each)
             np.testing.assert_array_equal(rep.skipped_mask, skipped)
@@ -413,7 +457,7 @@ class TestVerifyTheorem:
         kwargs = {"replications": 6, "seed": 2, "empirical_draws": 300,
                   "generalization_draws": 600}
         verify_theorem(*args, **kwargs)
-        verify_theorem_reference(ReferenceSampler(P), *args, **kwargs)
+        verify_theorem_reference(*args, **kwargs)
         assert calls["lib"] == calls["ref"] > 0
 
     def test_replication_validation(self):
@@ -421,6 +465,27 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError, match="replications"):
             verify_theorem(P, [P, P], delta=0.2,
                            replications=0, seed=0)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("name", ["empirical_draws", "generalization_draws"])
+    def test_draw_counts_validated(self, n, name):
+        P = two_block_matrix(n, 0.9, 0.1)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            verify_theorem(P, [P, P], delta=0.2, replications=1, seed=0, **{name: 0})
+
+    @pytest.mark.parametrize("slack", [-1.0, -1e-9, 0.8, 2.0, float("nan")])
+    def test_mc_slack_outside_range_rejected(self, slack):
+        # the target 1 - delta - mc_slack must lie in (0, 1 - delta]
+        P = two_block_matrix(4, 0.9, 0.1)
+        with pytest.raises(ValueError, match="mc_slack"):
+            verify_theorem(P, [P, P], delta=0.2, replications=1, seed=0, mc_slack=slack)
+
+    @pytest.mark.parametrize("slack", [0.0, 0.79])
+    def test_mc_slack_in_range_accepted(self, slack):
+        P = two_block_matrix(4, 0.9, 0.1)
+        rep = verify_theorem(P, [P, P], delta=0.2, replications=1, seed=0,
+                             empirical_draws=20, generalization_draws=20, mc_slack=slack)
+        assert rep.target_fraction == 1.0 - 0.2 - slack
 
     def test_single_matrix_rejected(self):
         # M is the number of similarity matrices, and the bound needs two
