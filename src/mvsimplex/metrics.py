@@ -37,18 +37,17 @@ def nmi(a, b) -> float:
     n = a.size
     cont = np.zeros((ka, kb), dtype=float)
     np.add.at(cont, (ai, bi), 1.0)
+    # the codes are dense, so every marginal is positive
     pa = cont.sum(axis=1) / n
     pb = cont.sum(axis=0) / n
-    ha = -np.sum(pa * np.log(pa, where=pa > 0, out=np.zeros_like(pa)))
-    hb = -np.sum(pb * np.log(pb, where=pb > 0, out=np.zeros_like(pb)))
+    ha = -np.sum(pa * np.log(pa))
+    hb = -np.sum(pb * np.log(pb))
     if ha <= 0.0 and hb <= 0.0:
         return 1.0
     if ha <= 0.0 or hb <= 0.0:
         return 0.0
     pj = cont / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = pj / (pa[:, None] * pb[None, :])
-        terms = np.where(pj > 0, pj * np.log(ratio), 0.0)
+    terms = pj * np.log(pj / np.multiply.outer(pa, pb), where=pj > 0, out=np.zeros_like(pj))
     info = terms.sum()
     return float(2.0 * info / (ha + hb))
 

@@ -137,9 +137,10 @@ def kl_bernoulli(p, s):
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    # written as what must hold, so that NaN fails the checks
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p must lie in [0, 1]")
-    if np.any(s <= 0.0) or np.any(s >= 1.0):
+    if not np.all((s > 0.0) & (s < 1.0)):
         raise ValueError("s must lie strictly inside (0, 1)")
     q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):

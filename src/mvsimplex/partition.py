@@ -28,7 +28,7 @@ def _check_probability_matrix(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"P must be square, got shape {P.shape}")
-    if np.any(P < 0.0) or np.any(P > 1.0):
+    if not np.all((P >= 0.0) & (P <= 1.0)):  # also rejects NaN
         raise ValueError("P entries must lie in [0, 1]")
     return P
 
@@ -228,8 +228,10 @@ def bound_rhs(P: np.ndarray, s_list, delta: float) -> float:
     ii, jj = pair_indices(P.shape[0])
     p_flat = P[ii, jj]
     kl_sum = 0.0
-    for s in s_list:
+    for v, s in enumerate(s_list):
         s = np.asarray(s, dtype=float)
+        if s.shape != P.shape:
+            raise ValueError(f"s_list[{v}] has shape {s.shape}, expected {P.shape}")
         kl_sum += float(kl_bernoulli(p_flat, s[ii, jj]).sum())
     slack = np.log(np.exp(1.0 / (12.0 * M)) * np.sqrt(np.pi * M / 2.0) + 2.0)
     return float((kl_sum / M + slack - np.log(delta)) / M)
@@ -257,7 +259,14 @@ class _LossTable:
     """Memoized partition losses between interned canonical label rows.
 
     Losses live in a dense matrix over row ids, NaN where not yet computed;
-    it grows geometrically as rows are interned.
+    it grows geometrically as rows are interned.  A lookup reads a block,
+    some ids by others, and computes only its new pairs, so the n <= 6 law
+    and the n >= 7 sampler share one lazy table.
+
+    Each pair's loss is 1 - nmi(rows[lo], rows[hi]) with lo < hi by id and
+    is stored in both of its cells.  nmi is not bit-symmetric: swapping its
+    arguments changed the last bit on 122 of the 1,326 pairs of the 52
+    partitions at n = 5, and on 2,683 pairs at n = 6.
     """
 
     def __init__(self):
@@ -266,14 +275,16 @@ class _LossTable:
         self.mat = np.full((0, 0), np.nan)
 
     def intern(self, canon_rows: np.ndarray) -> np.ndarray:
-        out = np.empty(canon_rows.shape[0], dtype=np.int64)
-        for r, row in enumerate(canon_rows):
-            key = row.astype(np.int64).tobytes()
+        rows = canon_rows.astype(np.int64)
+        # one bytes key per row, from a view of each row as one void item
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        out = np.empty(len(keys), dtype=np.int64)
+        for r, key in enumerate(keys):
             idx = self.ids.get(key)
             if idx is None:
                 idx = len(self.rows)
                 self.ids[key] = idx
-                self.rows.append(row.astype(np.int64))
+                self.rows.append(rows[r])
             out[r] = idx
         cap = self.mat.shape[0]
         if len(self.rows) > cap:
@@ -282,13 +293,28 @@ class _LossTable:
             self.mat = grown
         return out
 
-    def loss_vector(self, a_ids: np.ndarray, b_id: int) -> np.ndarray:
-        vec = self.mat[a_ids, b_id]
-        for k in np.flatnonzero(np.isnan(vec)):
-            a = int(a_ids[k])
-            lo, hi = min(a, b_id), max(a, b_id)
-            vec[k] = self.mat[a, b_id] = self.mat[b_id, a] = 1.0 - nmi(self.rows[lo], self.rows[hi])
-        return vec
+    def loss_vector(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
+        """The C-ordered block of losses between ids a_ids (rows) and b_ids
+        (columns), each new pair computed once."""
+        block = self.mat[np.ix_(a_ids, b_ids)]
+        for i, j in zip(*np.nonzero(np.isnan(block))):
+            a, b = int(a_ids[i]), int(b_ids[j])
+            loss = self.mat[a, b]
+            if np.isnan(loss):  # not filled by an earlier cell of this block
+                lo, hi = min(a, b), max(a, b)
+                loss = self.mat[a, b] = self.mat[b, a] = 1.0 - nmi(self.rows[lo], self.rows[hi])
+            block[i, j] = loss
+        return block
+
+
+def _risks(freq: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """freq @ row for each row of a C-ordered block, one dot product per row.
+
+    One gemv (block @ freq) sums in another order: on 2,000 random blocks of
+    up to 52 x 52 frequencies and losses, 25,033 of 52,889 rows differed
+    from their row-wise dot in the last bits (OpenBLAS, one thread).
+    """
+    return np.array([freq @ row for row in block])
 
 
 def verify_theorem(
@@ -315,6 +341,9 @@ def verify_theorem(
     deduped as raw label rows, only the distinct rows are canonicalized,
     and the canonical rows are deduped again.  Either way the counts have
     the law of canonicalizing and counting every draw.
+    The losses of a replication are read from one lazy table (_LossTable)
+    as two blocks, the ground truths and the generalization partitions by
+    the empirical ones, and each risk row is one dot product (_risks).
     Replications whose risks land outside (0, 1) fall outside the bound's
     own precondition; they are skipped, their lhs NaN, and counted.  The
     bound holds when the fraction of evaluated replications within it
@@ -334,7 +363,7 @@ def verify_theorem(
     M = len(s_list)
     law = _partition_law(P) if P.shape[0] <= _EXACT_LAW_MAX_N else None
     table = _LossTable()
-    lhs = np.full(replications, np.nan)
+    risks = np.empty((2, replications))  # empirical, generalization
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
         rng = np.random.default_rng(child)
         z0_ids = table.intern(canonicalize_labels(sample_partition_labels(P, M, rng)))
@@ -345,17 +374,18 @@ def verify_theorem(
         gen_ids = table.intern(gen_uniq)
         gen_freq = gen_counts / gen_counts.sum()
 
-        emp_risk = float(np.mean([phi_freq @ table.loss_vector(phi_ids, z) for z in z0_ids]))
-        gen_risk = float(gen_freq @ np.array(
-            [phi_freq @ table.loss_vector(phi_ids, g) for g in gen_ids]))
+        risks[0, r] = np.mean(_risks(phi_freq, table.loss_vector(z0_ids, phi_ids)))
+        risks[1, r] = gen_freq @ _risks(phi_freq, table.loss_vector(gen_ids, phi_ids))
 
-        if 0.0 < emp_risk < 1.0 and 0.0 < gen_risk < 1.0:
-            lhs[r] = kl_bernoulli(gen_risk, emp_risk)
+    emp_risk, gen_risk = risks
+    evaluated_mask = (0.0 < emp_risk) & (emp_risk < 1.0) & (0.0 < gen_risk) & (gen_risk < 1.0)
+    lhs = np.full(replications, np.nan)
+    lhs[evaluated_mask] = kl_bernoulli(gen_risk[evaluated_mask], emp_risk[evaluated_mask])
 
-    skipped_mask = np.isnan(lhs)
+    skipped_mask = ~evaluated_mask
     holds_each = lhs <= rhs  # False where lhs is NaN
-    evaluated = int((~skipped_mask).sum())
-    fraction = float(holds_each[~skipped_mask].mean()) if evaluated > 0 else 0.0
+    evaluated = int(evaluated_mask.sum())
+    fraction = float(holds_each[evaluated_mask].mean()) if evaluated > 0 else 0.0
     target = 1.0 - delta - mc_slack
     return BoundReport(
         M=M, delta=delta, replications=replications, evaluated=evaluated,

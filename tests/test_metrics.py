@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mvsimplex.metrics import _label_codes, mad, nmi
-from oracles import nmi_np_unique, nmi_reference, oracle_coassignment
+from oracles import canonical_tuple, nmi_np_unique, nmi_reference, oracle_coassignment
 
 
 def test_nmi_perfect_and_permuted():
@@ -63,6 +65,17 @@ def test_nmi_has_the_bits_of_np_unique_codes(kind_a, kind_b):
             np.testing.assert_array_equal(codes, want)
             assert k == uniq.size
         assert nmi(a, b) == nmi_np_unique(a, b)
+
+
+def test_nmi_has_the_bits_of_np_unique_codes_on_partitions():
+    # all ordered pairs of the 52 partitions of 5 items, the rows that
+    # verify-bound feeds nmi; nmi is not bit-symmetric, so both orders count
+    rows = [np.array(row) for row in itertools.product(range(5), repeat=5)
+            if canonical_tuple(row) == row]
+    assert len(rows) == 52
+    for a in rows:
+        for b in rows:
+            assert nmi(a, b) == nmi_np_unique(a, b)
 
 
 def test_nmi_validation():

@@ -1,11 +1,14 @@
 """Cluster graphs, the sequential partition sampler, and the risk bound."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from mvsimplex.cli import two_block_matrix
 from mvsimplex.partition import (
     BoundReport,
+    _LossTable,
     _partition_law,
     _unique_rows,
     bound_rhs,
@@ -359,6 +362,27 @@ class TestBoundRhs:
         with pytest.raises(ValueError, match="delta"):
             bound_rhs(P, [P, P], 0.0)
 
+    def test_misshaped_s_is_named(self):
+        P = two_block_matrix(4, 0.9, 0.1)
+        with pytest.raises(ValueError,
+                           match=r"^s_list\[2\] has shape \(3, 3\), expected \(4, 4\)$"):
+            bound_rhs(P, [P, P, P[:3, :3]], 0.2)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_nan_probabilities_rejected(self, n):
+        # NaN fails no `< 0` or `> 1` test; unchecked, a NaN P kills the
+        # n=4 run in the multinomial and gives n=8 a finite bound
+        P = two_block_matrix(n, 0.9, 0.1)
+        s = np.clip(P, 0.05, 0.95)
+        nan_p = P.copy()
+        nan_p[0, 1] = nan_p[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^P entries must lie in \[0, 1\]$"):
+            verify_theorem(nan_p, [s, s], delta=0.2, replications=1, seed=0)
+        nan_s = s.copy()
+        nan_s[1, 0] = np.nan  # the lower triangle, which the bound reads
+        with pytest.raises(ValueError, match=r"^s must lie strictly inside \(0, 1\)$"):
+            verify_theorem(P, [s, nan_s], delta=0.2, replications=1, seed=0)
+
 
 class TestVerifyTheorem:
     def test_report_accounting(self):
@@ -459,6 +483,42 @@ class TestVerifyTheorem:
         verify_theorem(*args, **kwargs)
         verify_theorem_reference(*args, **kwargs)
         assert calls["lib"] == calls["ref"] > 0
+
+    def test_loss_table_block(self, monkeypatch):
+        import mvsimplex.metrics
+        import mvsimplex.partition
+
+        pairs = []
+
+        def counting(a, b):
+            pairs.append((tuple(a), tuple(b)))
+            return mvsimplex.metrics.nmi(a, b)
+
+        monkeypatch.setattr(mvsimplex.partition, "nmi", counting)
+        rows = np.array([row for row in itertools.product(range(4), repeat=4)
+                         if canonical_tuple(row) == row])  # the 15 partitions of 4 items
+        table = _LossTable()
+        np.testing.assert_array_equal(table.intern(rows), np.arange(15))
+        # a batch of another dtype, with a repeat, interns to the same ids
+        np.testing.assert_array_equal(table.intern(rows[[9, 2, 9]].astype(np.int32)), [9, 2, 9])
+
+        def check(a_ids, b_ids, new_pairs):
+            del pairs[:]
+            block = table.loss_vector(np.array(a_ids), np.array(b_ids))
+            assert block.shape == (len(a_ids), len(b_ids)) and block.flags.c_contiguous
+            assert not np.isnan(block).any()
+            want = [[1.0 - mvsimplex.metrics.nmi(rows[min(a, b)], rows[max(a, b)])
+                     for b in b_ids] for a in a_ids]
+            np.testing.assert_array_equal(block, want)
+            # one nmi call per new unordered pair, its lower id first
+            assert sorted(pairs) == sorted((tuple(rows[lo]), tuple(rows[hi]))
+                                           for lo, hi in new_pairs)
+
+        # repeats, both orders of the pair (3, 7), and the diagonal cell (3, 3)
+        check([3, 7, 3], [7, 3, 1], {(3, 7), (3, 3), (7, 7), (1, 3), (1, 7)})
+        # cells filled above, in either order, next to new ones
+        check([1, 12, 7], [3, 7, 12, 12], {(3, 12), (7, 12), (1, 12), (12, 12)})
+        check([12, 3], [7, 1], set())
 
     def test_replication_validation(self):
         P = np.full((3, 3), 0.5)
