@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -19,37 +21,53 @@ def _label_codes(x: np.ndarray) -> tuple[np.ndarray, int]:
     return codes, uniq.size
 
 
+class Labeling(NamedTuple):
+    """One side of an NMI pair, summarized once: dense label codes, their
+    number k, the marginal p = bincount(codes) / n and its entropy h."""
+
+    codes: np.ndarray
+    k: int
+    p: np.ndarray
+    h: float
+
+
+def labeling(x) -> Labeling:
+    """The per-labeling half of nmi, for a caller that scores one labeling
+    against many."""
+    x = np.asarray(x).ravel()
+    if x.size == 0:
+        raise ValueError("empty label vectors")
+    codes, k = _label_codes(x)
+    # the codes are dense, so every marginal is positive
+    p = np.bincount(codes) / x.size
+    return Labeling(codes, k, p, -np.sum(p * np.log(p)))
+
+
 def nmi(a, b) -> float:
     """Normalized mutual information, 2*I / (H(a) + H(b)), natural logs.
+
+    a and b are label vectors or their labelings (labeling(x)); a vector is
+    summarized by labeling first, so both forms give the same bits.  The
+    pair step counts the contingency table with one bincount of
+    ai * kb + bi.  nmi is not bit-symmetric: the table's transpose sums in
+    another order.
 
     Degenerate conventions: two single-cluster labelings are identical as
     partitions and score 1; if exactly one side is single-cluster the score
     is 0; an ordinary contingency table is scored by the formula.
     """
-    a = np.asarray(a).ravel()
-    b = np.asarray(b).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"label vectors differ in length: {a.size} vs {b.size}")
-    if a.size == 0:
-        raise ValueError("empty label vectors")
-    ai, ka = _label_codes(a)
-    bi, kb = _label_codes(b)
-    n = a.size
-    cont = np.zeros((ka, kb), dtype=float)
-    np.add.at(cont, (ai, bi), 1.0)
-    # the codes are dense, so every marginal is positive
-    pa = cont.sum(axis=1) / n
-    pb = cont.sum(axis=0) / n
-    ha = -np.sum(pa * np.log(pa))
-    hb = -np.sum(pb * np.log(pb))
-    if ha <= 0.0 and hb <= 0.0:
+    la = a if isinstance(a, Labeling) else labeling(a)
+    lb = b if isinstance(b, Labeling) else labeling(b)
+    n = la.codes.size
+    if lb.codes.size != n:
+        raise ValueError(f"label vectors differ in length: {n} vs {lb.codes.size}")
+    if la.h <= 0.0 and lb.h <= 0.0:
         return 1.0
-    if ha <= 0.0 or hb <= 0.0:
+    if la.h <= 0.0 or lb.h <= 0.0:
         return 0.0
-    pj = cont / n
-    terms = pj * np.log(pj / np.multiply.outer(pa, pb), where=pj > 0, out=np.zeros_like(pj))
-    info = terms.sum()
-    return float(2.0 * info / (ha + hb))
+    pj = np.bincount(la.codes * lb.k + lb.codes, minlength=la.k * lb.k).reshape(la.k, lb.k) / n
+    terms = pj * np.log(pj / np.multiply.outer(la.p, lb.p), where=pj > 0, out=np.zeros_like(pj))
+    return float(2.0 * terms.sum() / (la.h + lb.h))
 
 
 def mad(a: np.ndarray, b: np.ndarray) -> float:

@@ -365,6 +365,11 @@ class LossTableReference:
         return np.array([self.loss(int(a), b_id) for a in a_ids])
 
 
+def risks_reference(freq, block):
+    """One dot product per row of the loss block, the risks' reference bits."""
+    return np.array([freq @ row for row in block])
+
+
 def verify_theorem_reference(P, s_list, delta: float, replications: int, seed,
                              empirical_draws: int = 2000, generalization_draws: int = 10_000):
     """The replicated bound check with np.unique(axis=0) dedupe of every

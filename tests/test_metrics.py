@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mvsimplex.metrics import _label_codes, mad, nmi
+from mvsimplex.metrics import _label_codes, labeling, mad, nmi
 from oracles import canonical_tuple, nmi_np_unique, nmi_reference, oracle_coassignment
 
 
@@ -76,6 +76,50 @@ def test_nmi_has_the_bits_of_np_unique_codes_on_partitions():
     for a in rows:
         for b in rows:
             assert nmi(a, b) == nmi_np_unique(a, b)
+
+
+def partitions(n):
+    """The canonical partitions of n items, as label rows."""
+    return [np.array(row) for row in itertools.product(range(n), repeat=n)
+            if canonical_tuple(row) == row]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_nmi_of_labelings_has_the_bits_of_nmi_on_partitions(n):
+    # verify-bound scores labelings built once per partition, in both orders
+    rows = partitions(n)
+    labs = [labeling(row) for row in rows]
+    for a, la in zip(rows, labs):
+        for b, lb in zip(rows, labs):
+            assert nmi(la, lb) == nmi(a, b)
+
+
+def test_nmi_of_labelings_has_the_bits_of_nmi_on_random_labelings():
+    rng = np.random.default_rng(3000)
+    kinds = ["canonical", "gaps", "negative", "single", "float"]
+    for _ in range(3000):
+        n = int(rng.integers(1, 30))
+        a = random_labels(rng, kinds[rng.integers(len(kinds))], n)
+        b = random_labels(rng, kinds[rng.integers(len(kinds))], n)
+        want = nmi(a, b)
+        assert nmi(labeling(a), labeling(b)) == want
+        assert nmi(labeling(a), b) == want == nmi(a, labeling(b))
+
+
+def test_nmi_of_single_cluster_labelings():
+    one, other, split = labeling([4, 4, 4]), labeling([-1, -1, -1]), labeling([0, 1, 1])
+    assert nmi(one, other) == 1.0
+    assert nmi(one, split) == 0.0
+    assert nmi(split, one) == 0.0
+
+
+def test_labeling_validation():
+    with pytest.raises(ValueError, match="label vectors differ in length: 2 vs 3"):
+        nmi(labeling([0, 1]), labeling([0, 1, 2]))
+    with pytest.raises(ValueError, match="label vectors differ in length: 3 vs 2"):
+        nmi([0, 1, 2], labeling([0, 1]))
+    with pytest.raises(ValueError, match="empty label vectors"):
+        labeling([])
 
 
 def test_nmi_validation():

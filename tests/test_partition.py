@@ -10,6 +10,7 @@ from mvsimplex.partition import (
     BoundReport,
     _LossTable,
     _partition_law,
+    _risks,
     _unique_rows,
     bound_rhs,
     canonicalize_labels,
@@ -26,6 +27,7 @@ from oracles import (
     empirical_risk,
     exact_partition_distribution,
     partition_loss,
+    risks_reference,
     sample_partition,
     sample_partition_labels_reference,
     verify_theorem_reference,
@@ -489,18 +491,27 @@ class TestVerifyTheorem:
         import mvsimplex.partition
 
         pairs = []
+        built = []
 
         def counting(a, b):
-            pairs.append((tuple(a), tuple(b)))
+            # the table passes labelings; a canonical row is its own codes
+            pairs.append((tuple(a.codes), tuple(b.codes)))
             return mvsimplex.metrics.nmi(a, b)
 
+        def building(x):
+            built.append(tuple(x))
+            return mvsimplex.metrics.labeling(x)
+
         monkeypatch.setattr(mvsimplex.partition, "nmi", counting)
+        monkeypatch.setattr(mvsimplex.partition, "labeling", building)
         rows = np.array([row for row in itertools.product(range(4), repeat=4)
                          if canonical_tuple(row) == row])  # the 15 partitions of 4 items
         table = _LossTable()
         np.testing.assert_array_equal(table.intern(rows), np.arange(15))
         # a batch of another dtype, with a repeat, interns to the same ids
         np.testing.assert_array_equal(table.intern(rows[[9, 2, 9]].astype(np.int32)), [9, 2, 9])
+        # each interned row's labeling is built once, when it is first interned
+        assert built == [tuple(row) for row in rows]
 
         def check(a_ids, b_ids, new_pairs):
             del pairs[:]
@@ -519,6 +530,19 @@ class TestVerifyTheorem:
         # cells filled above, in either order, next to new ones
         check([1, 12, 7], [3, 7, 12, 12], {(3, 12), (7, 12), (1, 12), (12, 12)})
         check([12, 3], [7, 1], set())
+        assert built == [tuple(row) for row in rows]  # lookups build no labeling
+
+    def test_risks_have_the_bits_of_one_dot_per_row(self):
+        # the bound files rest on these bits; one gemv (block @ freq) sums in
+        # another order and differs in the last bits on about half such rows
+        rng = np.random.default_rng(24)
+        shapes = [tuple(rng.integers(1, 61, size=2)) for _ in range(2000)]
+        shapes += [(3, 1001), (2, 2749), (1, 5000)]
+        for rows, cols in shapes:
+            counts = rng.integers(1, 1000, size=cols)
+            freq = counts / counts.sum()
+            block = rng.random((rows, cols))
+            np.testing.assert_array_equal(_risks(freq, block), risks_reference(freq, block))
 
     def test_replication_validation(self):
         P = np.full((3, 3), 0.5)
