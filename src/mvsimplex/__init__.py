@@ -4,8 +4,8 @@ Each view's similarity matrix is approximated by a low-rank co-assignment
 matrix W W^T whose rows live on the probability simplex; views share a small
 pool of candidate clusterings, and an EM loop assigns views to clusterings
 while descending a Bernoulli divergence between model and observed
-similarities.  A Monte-Carlo harness checks the generalization bound for the
-induced partition distribution.
+similarities.  A harness checks the generalization bound for the induced
+partition distribution, exactly for up to 6 items and by Monte Carlo past that.
 """
 
 from .datagen import (

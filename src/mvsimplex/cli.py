@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--out", required=True)
     fit_p.set_defaults(func=cmd_fit)
 
-    ver = subs.add_parser("verify-bound", help="Monte-Carlo check of the risk bound")
+    ver = subs.add_parser("verify-bound", help="check of the risk bound, exact for n <= 6")
     _add_table_flags(ver, VERIFY_OPTS)
     ver.add_argument("--out", required=True)
     ver.set_defaults(func=cmd_verify_bound)

@@ -8,8 +8,8 @@ joining puts an item in one cluster only, so every sampled co-assignment
 graph is transitive by construction.
 
 For n <= 6 items the law of that process is computed exactly (B(n)
-partitions, B(6) = 203), and the bound check draws its batches' partition
-counts from it; for more items the sampler draws every partition.
+partitions, B(6) = 203), and the bound check takes its risks from it; for
+more items it estimates them from partitions the sampler draws.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ def _check_probability_matrix(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"P must be square, got shape {P.shape}")
+    if P.shape[0] == 0:
+        raise ValueError("P must have at least one item, got shape (0, 0)")
     if not np.all((P >= 0.0) & (P <= 1.0)):  # also rejects NaN
         raise ValueError("P entries must lie in [0, 1]")
     return P
@@ -139,9 +141,8 @@ def _unique_rows(rows: np.ndarray,
 
 # Largest n whose exact law verify_theorem computes.  On two_block_matrix(n,
 # 0.9, 0.1) the law took 0.008 s at n = 5, 0.12 s at n = 6, 1.7 s at n = 7
-# and 41 s at n = 8 (2-core Xeon host), 14-24x more per item.  At n = 5 the
-# sampler took about 2 s for the default check's 6.0 M batch draws, which
-# the law replaces; the whole default check now takes about 0.13 s.
+# and 41 s at n = 8 (2-core Xeon host), 14-24x more per item.  Its exact
+# risks need all B(n)^2 losses: 1,378 nmi calls at n = 5, 20,706 at n = 6.
 _EXACT_LAW_MAX_N = 6
 
 
@@ -191,25 +192,14 @@ def _partition_law(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.int64), np.array([law[row] for row in rows])
 
 
-def _distinct_partitions(P: np.ndarray, size: int, rng: np.random.Generator,
-                         law: tuple[np.ndarray, np.ndarray] | None
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct canonical partitions of `size` draws and their counts,
-    in lexicographic order.
-
-    With the exact `law` (rows, probabilities), the counts of iid draws are
-    one multinomial draw over its rows, of which the nonzero cells are
-    kept.  Without it, the draws come from the sampler and the result is
-    what _unique_rows(canonicalize_labels(draws)) returns: draws repeat a
-    few label rows many times, so the raw rows are deduped first and only
-    the distinct ones canonicalized; rows that canonicalize alike then
-    merge with their counts summed.
+def _distinct_partitions(P: np.ndarray, size: int,
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """What _unique_rows(canonicalize_labels(draws)) returns for `size`
+    sampler draws: their distinct canonical partitions, in lexicographic
+    order, and their counts.  Draws repeat a few label rows many times, so
+    the raw rows are deduped first and only the distinct ones canonicalized;
+    rows that canonicalize alike then merge with their counts summed.
     """
-    if law is not None:
-        rows, probs = law
-        counts = rng.multinomial(size, probs)
-        drawn = counts > 0
-        return rows[drawn], counts[drawn]
     raw, raw_counts = _unique_rows(sample_partition_labels(P, size, rng))
     return _unique_rows(canonicalize_labels(raw), raw_counts)
 
@@ -261,8 +251,7 @@ class _LossTable:
 
     Losses live in a dense matrix over row ids, NaN where not yet computed;
     it grows geometrically as rows are interned.  A lookup reads a block,
-    some ids by others, and computes only its new pairs, so the n <= 6 law
-    and the n >= 7 sampler share one lazy table.
+    some ids by others, and computes only its new pairs.
 
     Each row's labeling (metrics.labeling: codes, marginal, entropy) is
     built once, when the row is interned, so a new pair costs only nmi's
@@ -338,24 +327,26 @@ def verify_theorem(
     """Replicated check of the risk bound.
 
     Each replication draws M = len(s_list) ground-truth partitions from the
-    sampler on P, estimates the view-averaged empirical risk
-    (empirical_draws draws) and the generalization risk (generalization_draws
-    fresh ground truths) against the same law by shared Monte-Carlo draws,
-    and compares KL(generalization risk || empirical risk) with the bound.
-    Both batches of draws enter the risks only as their distinct canonical
-    partitions and counts.  For n <= 6 items those counts are one
-    multinomial draw over the exact law (_partition_law, computed once per
-    call); for more items the batches come from the sampler, each is
-    deduped as raw label rows, only the distinct rows are canonicalized,
-    and the canonical rows are deduped again.  Either way the counts have
-    the law of canonicalizing and counting every draw.
-    The losses of a replication are read from one lazy table (_LossTable)
-    as two blocks, the ground truths and the generalization partitions by
-    the empirical ones, and each risk row is one dot product (_risks).
+    sampler on P and compares KL(generalization risk || empirical risk)
+    with the bound.  A partition's risk is its expected loss against a
+    partition drawn from the same law; the empirical risk is the ground
+    truths' mean risk, and the generalization risk the law's mean risk.
+    For n <= 6 items both are exact, from the law (_partition_law) and the
+    risks of its B(n) partitions, computed once per call.  The draw counts
+    then change no result but are still checked: the CLI passes its
+    resolved defaults, so a count the user set cannot be told apart.
+    For more items the risks are Monte-Carlo estimates from shared draws:
+    empirical_draws partitions stand in for the law, and
+    generalization_draws fresh ones for the generalization mean.  Each
+    batch is deduped as raw label rows, only the distinct rows are
+    canonicalized, and the canonical rows are deduped again.  The losses
+    come from one lazy table (_LossTable), read as blocks, and each risk
+    row is one dot product (_risks).
     Replications whose risks land outside (0, 1) fall outside the bound's
     own precondition; they are skipped, their lhs NaN, and counted.  The
     bound holds when the fraction of evaluated replications within it
-    reaches 1 - delta - mc_slack, where 0 <= mc_slack < 1 - delta.
+    reaches 1 - delta - mc_slack, 0 <= mc_slack < 1 - delta, at every n;
+    for n <= 6 the slack covers the noise of finitely many replications.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -369,16 +360,24 @@ def verify_theorem(
                          f"got {mc_slack}")
     P = np.asarray(P, dtype=float)
     M = len(s_list)
-    law = _partition_law(P) if P.shape[0] <= _EXACT_LAW_MAX_N else None
     table = _LossTable()
+    law_risks = None
+    if P.shape[0] <= _EXACT_LAW_MAX_N:
+        rows, probs = _partition_law(P)
+        ids = table.intern(rows)  # so a row's id is its law index
+        law_risks = _risks(probs, table.loss_vector(ids, ids))
+        law_gen_risk = probs @ law_risks
     risks = np.empty((2, replications))  # empirical, generalization
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
         rng = np.random.default_rng(child)
         z0_ids = table.intern(canonicalize_labels(sample_partition_labels(P, M, rng)))
-        phi_uniq, phi_counts = _distinct_partitions(P, empirical_draws, rng, law)
+        if law_risks is not None:
+            risks[:, r] = np.mean(law_risks[z0_ids]), law_gen_risk
+            continue
+        phi_uniq, phi_counts = _distinct_partitions(P, empirical_draws, rng)
         phi_ids = table.intern(phi_uniq)
         phi_freq = phi_counts / phi_counts.sum()
-        gen_uniq, gen_counts = _distinct_partitions(P, generalization_draws, rng, law)
+        gen_uniq, gen_counts = _distinct_partitions(P, generalization_draws, rng)
         gen_ids = table.intern(gen_uniq)
         gen_freq = gen_counts / gen_counts.sum()
 

@@ -375,25 +375,40 @@ def verify_theorem_reference(P, s_list, delta: float, replications: int, seed,
     """The replicated bound check with np.unique(axis=0) dedupe of every
     draw, the dict loss table and the reference canonicalizer, skipping a
     replication as soon as its risks leave (0, 1).  Draws come from the
-    reference sampler, except that for n <= 6 each batch's counts are one
-    multinomial over the library's exact law, as the library draws them,
-    expanded into one row per draw.  Returns (lhs, holds_each,
-    skipped_mask); the library must match them bit for bit."""
+    reference sampler.  For n <= 6 the risks are exact instead: the
+    library's law rows are interned first, so a row's id is its law index,
+    and each partition's risk is one dot of the law's probabilities with
+    its loss column.  Returns (lhs, holds_each, skipped_mask); the library
+    must match them bit for bit."""
     from mvsimplex.partition import _EXACT_LAW_MAX_N, _partition_law, bound_rhs
     from mvsimplex.model import kl_bernoulli
 
     P = np.asarray(P, dtype=float)
     M = len(s_list)
     rhs = bound_rhs(P, s_list, delta)
-    law = _partition_law(P) if P.shape[0] <= _EXACT_LAW_MAX_N else None
-
-    def batch(rng, size: int):
-        if law is None:
-            return sample_partition_labels_reference(P, size, rng)
-        rows, probs = law
-        return np.repeat(rows, rng.multinomial(size, probs), axis=0)
-
     table = LossTableReference()
+    law_risks = None
+    if P.shape[0] <= _EXACT_LAW_MAX_N:
+        rows, probs = _partition_law(P)
+        law_ids = table.intern(rows)
+        law_risks = np.array([probs @ table.loss_vector(law_ids, z) for z in law_ids])
+
+    def batch_risks(rng, z0_ids):
+        phi_uniq, phi_counts = np.unique(
+            canonicalize_labels_reference(sample_partition_labels_reference(
+                P, empirical_draws, rng)), axis=0, return_counts=True)
+        phi_ids = table.intern(phi_uniq)
+        phi_freq = phi_counts / phi_counts.sum()
+        gen_uniq, gen_counts = np.unique(
+            canonicalize_labels_reference(sample_partition_labels_reference(
+                P, generalization_draws, rng)), axis=0, return_counts=True)
+        gen_ids = table.intern(gen_uniq)
+        gen_freq = gen_counts / gen_counts.sum()
+        emp_risk = float(np.mean([phi_freq @ table.loss_vector(phi_ids, z) for z in z0_ids]))
+        gen_risk = float(gen_freq @ np.array(
+            [phi_freq @ table.loss_vector(phi_ids, g) for g in gen_ids]))
+        return emp_risk, gen_risk
+
     lhs = np.full(replications, np.nan)
     holds_each = np.zeros(replications, dtype=bool)
     skipped_mask = np.zeros(replications, dtype=bool)
@@ -401,20 +416,11 @@ def verify_theorem_reference(P, s_list, delta: float, replications: int, seed,
         rng = np.random.default_rng(child)
         z0_ids = table.intern(
             canonicalize_labels_reference(sample_partition_labels_reference(P, M, rng)))
-        phi_uniq, phi_counts = np.unique(
-            canonicalize_labels_reference(batch(rng, empirical_draws)),
-            axis=0, return_counts=True)
-        phi_ids = table.intern(phi_uniq)
-        phi_freq = phi_counts / phi_counts.sum()
-        gen_uniq, gen_counts = np.unique(
-            canonicalize_labels_reference(batch(rng, generalization_draws)),
-            axis=0, return_counts=True)
-        gen_ids = table.intern(gen_uniq)
-        gen_freq = gen_counts / gen_counts.sum()
-
-        emp_risk = float(np.mean([phi_freq @ table.loss_vector(phi_ids, z) for z in z0_ids]))
-        gen_risk = float(gen_freq @ np.array(
-            [phi_freq @ table.loss_vector(phi_ids, g) for g in gen_ids]))
+        if law_risks is None:
+            emp_risk, gen_risk = batch_risks(rng, z0_ids)
+        else:
+            emp_risk = float(np.mean([law_risks[z] for z in z0_ids]))
+            gen_risk = float(probs @ law_risks)
 
         if not (0.0 < emp_risk < 1.0) or not (0.0 < gen_risk < 1.0):
             skipped_mask[r] = True

@@ -1,5 +1,6 @@
 """Cluster graphs, the sequential partition sampler, and the risk bound."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (
     chi_square_pvalue,
     empirical_risk,
     exact_partition_distribution,
+    nmi_reference,
     partition_loss,
     risks_reference,
     sample_partition,
@@ -304,6 +306,34 @@ class TestPartitionLaw:
             verify_theorem(P, [P] * 3, 0.2, replications=2, seed=0, **draws)
             assert sizes == ([3] + batches) * 2
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("kind", ["two_block", "random", "binary"])
+    def test_exact_risks_match_enumeration(self, monkeypatch, n, kind):
+        # the risks verify_theorem passes to its last kl_bernoulli call,
+        # against sums over the enumerated law with the reference nmi
+        import mvsimplex.partition
+
+        calls = []
+        kl = mvsimplex.partition.kl_bernoulli
+        monkeypatch.setattr(mvsimplex.partition, "kl_bernoulli",
+                            lambda p, s: calls.append((p, s)) or kl(p, s))
+        P = self.matrix(kind, n)
+        M, seed, replications = 3, 4, 6
+        rep = verify_theorem(P, [np.clip(P, 0.05, 0.95)] * M, 0.2, replications, seed)
+        law = exact_partition_distribution(P)
+        risk = {z: sum(q * (1.0 - nmi_reference(z, y)) for y, q in law.items()) for z in law}
+        gen = sum(q * risk[z] for z, q in law.items())
+        emp = np.array([
+            np.mean([risk[canonical_tuple(z)]
+                     for z in sample_partition_labels(P, M, np.random.default_rng(child))])
+            for child in np.random.SeedSequence(seed).spawn(replications)])
+        evaluated = ~rep.skipped_mask
+        gen_seen, emp_seen = calls[-1]
+        np.testing.assert_allclose(gen_seen, np.full(evaluated.sum(), gen), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(emp_seen, emp[evaluated], rtol=0, atol=1e-12)
+        for r in np.flatnonzero(rep.skipped_mask):  # a risk at 0 or 1, to rounding
+            assert min(gen, emp[r]) < 1e-12 or max(gen, emp[r]) > 1.0 - 1e-12
+
 
 class TestRisks:
     def test_partition_loss_zero_on_equal(self):
@@ -556,6 +586,27 @@ class TestVerifyTheorem:
         P = two_block_matrix(n, 0.9, 0.1)
         with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
             verify_theorem(P, [P, P], delta=0.2, replications=1, seed=0, **{name: 0})
+
+    def test_draw_counts_change_results_only_past_six_items(self):
+        # at n <= 6 the risks are exact, so the draw counts are checked but unused
+        def fields(rep):
+            return [getattr(rep, f.name) for f in dataclasses.fields(rep)]
+
+        for n, same in ((5, True), (7, False)):
+            P = two_block_matrix(n, 0.9, 0.1)
+            one, default = (
+                verify_theorem(P, [np.clip(P, 0.05, 0.95)] * 3, 0.2, replications=2, seed=1,
+                               **draws)
+                for draws in ({"empirical_draws": 1, "generalization_draws": 1}, {}))
+            equal = [np.array_equal(a, b, equal_nan=True)
+                     for a, b in zip(fields(one), fields(default))]
+            assert all(equal) == same
+            assert one.evaluated == 2  # so the lhs compared are numbers, not NaN
+
+    def test_empty_matrix_rejected(self):
+        P = np.zeros((0, 0))
+        with pytest.raises(ValueError, match=r"^P must have at least one item, got shape \(0, 0\)$"):
+            verify_theorem(P, [P, P], delta=0.2, replications=1, seed=0)
 
     @pytest.mark.parametrize("slack", [-1.0, -1e-9, 0.8, 2.0, float("nan")])
     def test_mc_slack_outside_range_rejected(self, slack):
