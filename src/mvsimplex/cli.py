@@ -102,6 +102,8 @@ def resolve_options(args, table) -> dict:
         if value is None:
             value = default
         out[name] = value
+    if out.get("seed") is not None and out["seed"] < 0:
+        raise ValueError(f"seed must be >= 0, got {out['seed']}")
     return out
 
 

@@ -9,7 +9,10 @@ graph is transitive by construction.
 
 For n <= 6 items the law of that process is computed exactly (B(n)
 partitions, B(6) = 203), and the bound check takes its risks from it; for
-more items it estimates them from partitions the sampler draws.
+more items it estimates them from partitions the sampler draws.  The
+sampler takes one random stream or many, a slice of rows each, so the
+bound check draws the ground truths of many replications in one
+vectorized pass while each replication keeps its own stream.
 """
 
 from __future__ import annotations
@@ -41,8 +44,14 @@ def _check_label_range(rows: np.ndarray) -> None:
         raise ValueError(f"labels must lie in [0, {n}), the row length")
 
 
-def sample_partition_labels(P: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+def sample_partition_labels(P: np.ndarray, size: int, rng) -> np.ndarray:
     """Batch of `size` draws of the sequential process, returned as label rows.
+
+    `rng` is one Generator, or a sequence of streams (seeds or Generators,
+    each passed through np.random.default_rng) that draw size // len(rng)
+    consecutive rows each.  A stream makes the calls it would make alone,
+    in the same order, into its own slice of the batch, so its rows and its
+    state afterwards are bit-identical to a call with that stream alone.
 
     Vectorized across draws: each step draws one uniform per existing
     cluster slot and joins the first accepting cluster, which has the same
@@ -50,10 +59,19 @@ def sample_partition_labels(P: np.ndarray, size: int, rng: np.random.Generator) 
     probabilities, is not checked here; verify_theorem checks it once.
     """
     n = P.shape[0]
+    streams = [rng] if isinstance(rng, np.random.Generator) else [
+        np.random.default_rng(s) for s in rng]
+    if not streams:
+        raise ValueError("rng must hold at least one stream, got an empty sequence")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    if size % len(streams):
+        raise ValueError(f"size must be a multiple of the {len(streams)} streams, got {size}")
+    each = size // len(streams)
     p_flat = P.ravel()
-    perm = rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
+    perm = np.tile(np.arange(n), (size, 1))
+    for g, part in zip(streams, perm.reshape(-1, each, n)):
+        g.permuted(part, axis=1, out=part)
     rows = np.arange(size)
     row_off = rows * n
     lab = np.empty(size * n, dtype=np.int64)
@@ -65,7 +83,9 @@ def sample_partition_labels(P: np.ndarray, size: int, rng: np.random.Generator) 
     ncl = np.ones(size, dtype=np.int64)
     for t in range(1, n):
         j = perm[:, t]
-        u = rng.random((size, t))
+        u = np.empty((size, t))
+        for g, part in zip(streams, u.reshape(-1, each, t)):
+            g.random(out=part)
         joined = ncl.copy()
         for k in range(t - 1, -1, -1):
             np.putmask(joined, (u[:, k] < p_flat[rep_off[k] + j]) & (k < ncl), k)
@@ -144,6 +164,14 @@ def _unique_rows(rows: np.ndarray,
 # and 41 s at n = 8 (2-core Xeon host), 14-24x more per item.  Its exact
 # risks need all B(n)^2 losses: 1,378 nmi calls at n = 5, 20,706 at n = 6.
 _EXACT_LAW_MAX_N = 6
+
+# Most ground-truth rows verify_theorem draws in one sampler pass at n <= 6.
+# A pass holds a seed and a generator per replication and an interning key
+# per row: 100,000 replications of M = 5 on two_block_matrix(5, 0.9, 0.1)
+# peaked at 229 MB of process RSS in one pass, at 47 MB in passes of this
+# many rows and at 76 MB one replication at a time.  The default run of
+# 500 replications is one pass.
+_SAMPLE_ROWS_MAX = 16_384
 
 
 def _partition_law(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,18 +355,22 @@ def verify_theorem(
     """Replicated check of the risk bound.
 
     Each replication draws M = len(s_list) ground-truth partitions from the
-    sampler on P and compares KL(generalization risk || empirical risk)
-    with the bound.  A partition's risk is its expected loss against a
-    partition drawn from the same law; the empirical risk is the ground
-    truths' mean risk, and the generalization risk the law's mean risk.
+    sampler on P, from its own stream (child r of SeedSequence(seed)), and
+    compares KL(generalization risk || empirical risk) with the bound.  A
+    partition's risk is its expected loss against a partition drawn from
+    the same law; the empirical risk is the ground truths' mean risk, and
+    the generalization risk the law's mean risk.
     For n <= 6 items both are exact, from the law (_partition_law) and the
-    risks of its B(n) partitions, computed once per call.  The draw counts
-    then change no result but are still checked: the CLI passes its
-    resolved defaults, so a count the user set cannot be told apart.
-    For more items the risks are Monte-Carlo estimates from shared draws:
-    empirical_draws partitions stand in for the law, and
-    generalization_draws fresh ones for the generalization mean.  Each
-    batch is deduped as raw label rows, only the distinct rows are
+    risks of its B(n) partitions, computed once per call.  The ground
+    truths of up to _SAMPLE_ROWS_MAX // M replications come from one
+    sampler pass, one stream per replication, with the bits of one sampler
+    call per replication.  The draw counts change no result there but are
+    still checked: the CLI passes its resolved defaults, so a count the
+    user set cannot be told apart.
+    For more items the risks are Monte-Carlo estimates from shared draws,
+    one replication at a time: empirical_draws partitions stand in for the
+    law, and generalization_draws fresh ones for the generalization mean.
+    Each batch is deduped as raw label rows, only the distinct rows are
     canonicalized, and the canonical rows are deduped again.  The losses
     come from one lazy table (_LossTable), read as blocks, and each risk
     row is one dot product (_risks).
@@ -350,6 +382,8 @@ def verify_theorem(
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     for name, draws in (("empirical_draws", empirical_draws),
                         ("generalization_draws", generalization_draws)):
         if draws < 1:
@@ -361,28 +395,35 @@ def verify_theorem(
     P = np.asarray(P, dtype=float)
     M = len(s_list)
     table = _LossTable()
-    law_risks = None
+    risks = np.empty((2, replications))  # empirical, generalization
+    root = np.random.SeedSequence(seed)  # replication r draws from its child r
     if P.shape[0] <= _EXACT_LAW_MAX_N:
         rows, probs = _partition_law(P)
         ids = table.intern(rows)  # so a row's id is its law index
         law_risks = _risks(probs, table.loss_vector(ids, ids))
-        law_gen_risk = probs @ law_risks
-    risks = np.empty((2, replications))  # empirical, generalization
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
-        rng = np.random.default_rng(child)
-        z0_ids = table.intern(canonicalize_labels(sample_partition_labels(P, M, rng)))
-        if law_risks is not None:
-            risks[:, r] = np.mean(law_risks[z0_ids]), law_gen_risk
-            continue
-        phi_uniq, phi_counts = _distinct_partitions(P, empirical_draws, rng)
-        phi_ids = table.intern(phi_uniq)
-        phi_freq = phi_counts / phi_counts.sum()
-        gen_uniq, gen_counts = _distinct_partitions(P, generalization_draws, rng)
-        gen_ids = table.intern(gen_uniq)
-        gen_freq = gen_counts / gen_counts.sum()
+        risks[1] = probs @ law_risks
+        # a block of replications shares one sampler pass, each replication
+        # drawing from its own stream; successive spawns continue the
+        # children's numbering
+        per_block = max(1, _SAMPLE_ROWS_MAX // M)
+        for lo in range(0, replications, per_block):
+            block = root.spawn(min(per_block, replications - lo))
+            labels = sample_partition_labels(P, len(block) * M, block)
+            z0_ids = table.intern(canonicalize_labels(labels)).reshape(len(block), M)
+            risks[0, lo:lo + len(block)] = law_risks[z0_ids].mean(axis=1)
+    else:
+        for r, child in enumerate(root.spawn(replications)):
+            rng = np.random.default_rng(child)
+            z0_ids = table.intern(canonicalize_labels(sample_partition_labels(P, M, rng)))
+            phi_uniq, phi_counts = _distinct_partitions(P, empirical_draws, rng)
+            phi_ids = table.intern(phi_uniq)
+            phi_freq = phi_counts / phi_counts.sum()
+            gen_uniq, gen_counts = _distinct_partitions(P, generalization_draws, rng)
+            gen_ids = table.intern(gen_uniq)
+            gen_freq = gen_counts / gen_counts.sum()
 
-        risks[0, r] = np.mean(_risks(phi_freq, table.loss_vector(z0_ids, phi_ids)))
-        risks[1, r] = gen_freq @ _risks(phi_freq, table.loss_vector(gen_ids, phi_ids))
+            risks[0, r] = np.mean(_risks(phi_freq, table.loss_vector(z0_ids, phi_ids)))
+            risks[1, r] = gen_freq @ _risks(phi_freq, table.loss_vector(gen_ids, phi_ids))
 
     emp_risk, gen_risk = risks
     evaluated_mask = (0.0 < emp_risk) & (emp_risk < 1.0) & (0.0 < gen_risk) & (gen_risk < 1.0)

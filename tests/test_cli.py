@@ -365,6 +365,27 @@ class TestScreen:
         assert "top_v" in capsys.readouterr().err
 
 
+class TestSeedOption:
+    # one check in resolve_options covers every command's option table
+    @pytest.mark.parametrize("argv", [["simulate"], ["fit", "--d", 1, "--g", 2],
+                                      ["verify-bound", "--replications", 2],
+                                      ["screen", "--top-v", 1]])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_seed_named(self, tmp_path, capsys, argv, via):
+        data_csv = tmp_path / "data.csv"
+        write_blob_csv(data_csv)
+        extra = ["--data", data_csv] if argv[0] in ("fit", "screen") else []
+        if via == "flag":
+            extra += ["--seed", -1]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -1\n")
+            extra += ["--config", cfg]
+        assert run(*argv, *extra, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.strip() == "error: seed must be >= 0, got -1"
+        assert not (tmp_path / "o").exists()
+
+
 class TestHelpers:
     def test_parse_view_groups_forms(self):
         assert [g.tolist() for g in parse_view_groups("cols", 3)] == [[0], [1], [2]]

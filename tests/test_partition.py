@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,31 @@ class TestSamplers:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("each", [1, 7])
+    def test_streams_equal_stacked_single_stream_calls(self, n, binary, each):
+        P = random_probability_matrix(np.random.default_rng((n, 21)), n, binary)
+        seeds = np.random.SeedSequence((n, each)).spawn(4)
+        alone = [np.random.default_rng(s) for s in seeds]
+        want = np.vstack([sample_partition_labels(P, each, g) for g in alone])
+        shared = [np.random.default_rng(s) for s in seeds]
+        np.testing.assert_array_equal(sample_partition_labels(P, 4 * each, shared), want)
+        for a, b in zip(alone, shared):
+            assert a.bit_generator.state == b.bit_generator.state
+        # seeds go through np.random.default_rng
+        np.testing.assert_array_equal(sample_partition_labels(P, 4 * each, seeds), want)
+
+    @pytest.mark.parametrize("size, rng, message", [
+        (7, [0, 1], "size must be a multiple of the 2 streams, got 7"),
+        (0, [0, 1], "size must be >= 1, got 0"),
+        (-2, [0, 1], "size must be >= 1, got -2"),
+        (3, [], "rng must hold at least one stream, got an empty sequence"),
+    ])
+    def test_stream_count_checked(self, size, rng, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_partition_labels(np.ones((3, 3)), size, rng)
+
 
 class TestPartitionLaw:
     BELL = [1, 1, 2, 5, 15, 52, 203]
@@ -291,8 +317,9 @@ class TestPartitionLaw:
                                    rtol=0, atol=1e-12)
 
     def test_sampler_draws_batches_only_past_six_items(self, monkeypatch):
-        # the M ground truths always come from the sampler; the batches of
-        # empirical and generalization draws only past n = 6
+        # the M ground truths always come from the sampler, at n <= 6 in one
+        # call for every replication; the batches of empirical and
+        # generalization draws only past n = 6, one replication at a time
         import mvsimplex.partition
 
         sizes = []
@@ -300,11 +327,11 @@ class TestPartitionLaw:
         monkeypatch.setattr(mvsimplex.partition, "sample_partition_labels",
                             lambda P, size, rng: sizes.append(size) or sampler(P, size, rng))
         draws = {"empirical_draws": 50, "generalization_draws": 100}
-        for n, batches in ((6, []), (7, [50, 100])):
+        for n, want in ((6, [2 * 3]), (7, [3, 50, 100] * 2)):
             sizes.clear()
             P = two_block_matrix(n, 0.9, 0.1)
             verify_theorem(P, [P] * 3, 0.2, replications=2, seed=0, **draws)
-            assert sizes == ([3] + batches) * 2
+            assert sizes == want
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("kind", ["two_block", "random", "binary"])
@@ -602,6 +629,40 @@ class TestVerifyTheorem:
                      for a, b in zip(fields(one), fields(default))]
             assert all(equal) == same
             assert one.evaluated == 2  # so the lhs compared are numbers, not NaN
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_replications_are_prefix_stable(self, n):
+        # each replication draws from its own stream, whatever the run's length
+        P = two_block_matrix(n, 0.9, 0.1)
+        short, long = (verify_theorem(P, [np.clip(P, 0.05, 0.95)] * 3, 0.2, replications, seed=2,
+                                      empirical_draws=50, generalization_draws=100)
+                       for replications in (3, 7))
+        assert short.evaluated == 3
+        np.testing.assert_array_equal(short.lhs, long.lhs[:3])
+
+    @pytest.mark.parametrize("rows_max", [1, 6, 9])
+    def test_blocks_of_replications_give_the_one_block_report(self, monkeypatch, rows_max):
+        import mvsimplex.partition
+
+        P = two_block_matrix(5, 0.9, 0.1)
+        s_list = [np.clip(P, 0.05, 0.95)] * 3
+        whole = verify_theorem(P, s_list, 0.2, replications=7, seed=3)
+        sizes = []
+        sampler = mvsimplex.partition.sample_partition_labels
+        monkeypatch.setattr(mvsimplex.partition, "sample_partition_labels",
+                            lambda P, size, rng: sizes.append(size) or sampler(P, size, rng))
+        monkeypatch.setattr(mvsimplex.partition, "_SAMPLE_ROWS_MAX", rows_max)
+        blocked = verify_theorem(P, s_list, 0.2, replications=7, seed=3)
+        per_block = 3 * max(1, rows_max // 3)
+        assert sizes == [per_block] * (21 // per_block) + [21 % per_block] * (21 % per_block > 0)
+        for field in dataclasses.fields(whole):
+            assert np.array_equal(getattr(blocked, field.name), getattr(whole, field.name),
+                                  equal_nan=True), field.name
+
+    def test_negative_seed_rejected(self):
+        P = two_block_matrix(4, 0.9, 0.1)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            verify_theorem(P, [P, P], delta=0.2, replications=1, seed=-1)
 
     def test_empty_matrix_rejected(self):
         P = np.zeros((0, 0))
