@@ -162,8 +162,8 @@ def _outdir(args) -> Path:
     return out
 
 
-def _save_csv(outdir: Path, name: str, arr, fmt: str, names: list) -> None:
-    np.savetxt(outdir / name, np.asarray(arr), delimiter=",", fmt=fmt)
+def _save_csv(outdir: Path, name: str, arr, fmt, names: list, header: str = "") -> None:
+    np.savetxt(outdir / name, np.asarray(arr), delimiter=",", fmt=fmt, header=header, comments="")
     names.append(name)
 
 
@@ -293,10 +293,8 @@ def cmd_verify_bound(args) -> None:
         report.holds_each.astype(int),
         report.skipped_mask.astype(int),
     ])
-    np.savetxt(outdir / "bound_per_replication.csv", rows, delimiter=",",
-               fmt=["%d", FLOAT_FMT, "%d", "%d"],
-               header="replication,lhs,holds,skipped", comments="")
-    names.append("bound_per_replication.csv")
+    _save_csv(outdir, "bound_per_replication.csv", rows, ["%d", FLOAT_FMT, "%d", "%d"], names,
+              header="replication,lhs,holds,skipped")
     summary = [
         ("m", report.M),
         ("delta", report.delta),

@@ -107,14 +107,13 @@ def init_assignment(S: SimilarityTensor, d: int, seed) -> np.ndarray:
 
 def initialize(S: SimilarityTensor, config: ModelConfig, seed) -> FitState:
     """Initial FitState: one-hot eta from K-means, uniform lambda, logits at
-    small uniform noise refined by one lambda-preserving M step."""
+    small uniform noise refined by one M step, whose lambda is dropped."""
     rng = np.random.default_rng(seed)
     labels = init_assignment(S, config.d, rng)
     logits = rng.uniform(-INIT_NOISE, INIT_NOISE, size=(config.d, S.n_items, config.g))
     state = FitState(config=config, logits=logits, lam=np.full(config.d, 1.0 / config.d),
                      eta=np.eye(config.d)[labels], init_assignment=labels)
     precomp = precompute_kappa_gamma(S, state.eta)
-    state.logits, state.lam = m_step(state, precomp, config.reg_multiplier(S.n_items),
-                                     update_lambda=False)
+    state.logits, _ = m_step(state, precomp, config.reg_multiplier(S.n_items))
     state.loss_history = [reg_loss(state, S)]
     return state

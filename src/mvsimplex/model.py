@@ -342,14 +342,12 @@ def lambda_mode_update(eta: np.ndarray, alpha: float) -> np.ndarray:
     return lam
 
 
-def m_step(state: FitState, precomp: KappaGamma, n_reg: float,
-           update_lambda: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def m_step(state: FitState, precomp: KappaGamma, n_reg: float) -> tuple[np.ndarray, np.ndarray]:
     """One M step: Adam descent on the live logits against the expected
     loss plus n_reg times the group penalties, then the mode update for
     lambda.  Returns (logits, lambda) without mutating the state."""
     logits = _adam_descend(state.logits, precomp, state.config, n_reg)
-    lam = lambda_mode_update(state.eta, state.config.alpha) if update_lambda else state.lam.copy()
-    return logits, lam
+    return logits, lambda_mode_update(state.eta, state.config.alpha)
 
 
 def eta_from_divergences(divergences: np.ndarray, lam: np.ndarray) -> np.ndarray:

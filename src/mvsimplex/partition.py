@@ -10,9 +10,9 @@ graph is transitive by construction.
 For n <= 6 items the law of that process is computed exactly (B(n)
 partitions, B(6) = 203), and the bound check takes its risks from it; for
 more items it estimates them from partitions the sampler draws.  The
-sampler takes one random stream or many, a slice of rows each, so the
-bound check draws the ground truths of many replications in one
-vectorized pass while each replication keeps its own stream.
+sampler takes one random stream or many, a slice of rows each, so at
+every n the bound check draws the ground truths of many replications in
+one vectorized pass while each replication keeps its own stream.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ def _check_label_range(rows: np.ndarray) -> None:
 def sample_partition_labels(P: np.ndarray, size: int, rng) -> np.ndarray:
     """Batch of `size` draws of the sequential process, returned as label rows.
 
-    `rng` is one Generator, or a sequence of streams (seeds or Generators,
-    each passed through np.random.default_rng) that draw size // len(rng)
-    consecutive rows each.  A stream makes the calls it would make alone,
-    in the same order, into its own slice of the batch, so its rows and its
-    state afterwards are bit-identical to a call with that stream alone.
+    `rng` is one stream, or a list or tuple of streams that draw
+    size // len(rng) consecutive rows each; a stream is a Generator or a
+    seed, passed through np.random.default_rng.  A stream makes the calls
+    it would make alone, in the same order, into its own slice of the
+    batch, so its rows and its state afterwards are bit-identical to a call
+    with that stream alone.
 
     Vectorized across draws: each step draws one uniform per existing
     cluster slot and joins the first accepting cluster, which has the same
@@ -59,8 +60,7 @@ def sample_partition_labels(P: np.ndarray, size: int, rng) -> np.ndarray:
     probabilities, is not checked here; verify_theorem checks it once.
     """
     n = P.shape[0]
-    streams = [rng] if isinstance(rng, np.random.Generator) else [
-        np.random.default_rng(s) for s in rng]
+    streams = [np.random.default_rng(s) for s in (rng if isinstance(rng, (list, tuple)) else [rng])]
     if not streams:
         raise ValueError("rng must hold at least one stream, got an empty sequence")
     if size < 1:
@@ -120,14 +120,10 @@ def canonicalize_labels(lab: np.ndarray) -> np.ndarray:
 _KEY_MAX = np.iinfo(np.int64).max
 
 
-def _unique_rows(rows: np.ndarray,
-                 counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """What np.unique(rows, axis=0, return_counts=True) returns, the unique
     rows of a label array, whose values lie in [0, n) for rows of length n,
     in lexicographic order, and their counts.
-
-    With `counts`, row r stands for counts[r] copies of itself, so rows
-    that were already deduped and counted merge by summing their counts.
 
     Each row becomes one order-preserving int64 key, built column by column
     as key * n + col; one sort of the keys then finds the unique rows.
@@ -152,11 +148,7 @@ def _unique_rows(rows: np.ndarray,
     new[:1] = True
     np.not_equal(srt[1:], srt[:-1], out=new[1:])
     starts = np.flatnonzero(new)
-    if counts is None:
-        sums = np.diff(np.append(starts, t))
-    else:
-        sums = np.add.reduceat(counts[order], starts)
-    return rows[order[starts]], sums
+    return rows[order[starts]], np.diff(np.append(starts, t))
 
 
 # Largest n whose exact law verify_theorem computes.  On two_block_matrix(n,
@@ -165,12 +157,13 @@ def _unique_rows(rows: np.ndarray,
 # risks need all B(n)^2 losses: 1,378 nmi calls at n = 5, 20,706 at n = 6.
 _EXACT_LAW_MAX_N = 6
 
-# Most ground-truth rows verify_theorem draws in one sampler pass at n <= 6.
-# A pass holds a seed and a generator per replication and an interning key
-# per row: 100,000 replications of M = 5 on two_block_matrix(5, 0.9, 0.1)
-# peaked at 229 MB of process RSS in one pass, at 47 MB in passes of this
-# many rows and at 76 MB one replication at a time.  The default run of
-# 500 replications is one pass.
+# Most ground-truth rows verify_theorem draws in one sampler pass.  A pass
+# holds a seed and a generator per replication (past n = 6 until the block's
+# replications have drawn their batches) and an interning key per row:
+# 100,000 replications of M = 5 on two_block_matrix(5, 0.9, 0.1) peaked at
+# 229 MB of process RSS in one pass, at 47 MB in passes of this many rows
+# and at 76 MB one replication at a time.  The default run of 500
+# replications is one pass.
 _SAMPLE_ROWS_MAX = 16_384
 
 
@@ -218,18 +211,6 @@ def _partition_law(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         law[tuple(labels)] += prob
     rows = sorted(law)
     return np.array(rows, dtype=np.int64), np.array([law[row] for row in rows])
-
-
-def _distinct_partitions(P: np.ndarray, size: int,
-                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """What _unique_rows(canonicalize_labels(draws)) returns for `size`
-    sampler draws: their distinct canonical partitions, in lexicographic
-    order, and their counts.  Draws repeat a few label rows many times, so
-    the raw rows are deduped first and only the distinct ones canonicalized;
-    rows that canonicalize alike then merge with their counts summed.
-    """
-    raw, raw_counts = _unique_rows(sample_partition_labels(P, size, rng))
-    return _unique_rows(canonicalize_labels(raw), raw_counts)
 
 
 def bound_rhs(P: np.ndarray, s_list, delta: float) -> float:
@@ -342,6 +323,14 @@ def _risks(freq: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.matmul(block[:, None, :], freq[:, None])[:, 0, 0]
 
 
+def _interned_batch(table: _LossTable, P: np.ndarray, size: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """`size` sampler draws as the table ids of their distinct canonical
+    partitions, in lexicographic order, and their frequencies."""
+    rows, counts = _unique_rows(canonicalize_labels(sample_partition_labels(P, size, rng)))
+    return table.intern(rows), counts / counts.sum()
+
+
 def verify_theorem(
     P: np.ndarray,
     s_list,
@@ -360,20 +349,19 @@ def verify_theorem(
     partition's risk is its expected loss against a partition drawn from
     the same law; the empirical risk is the ground truths' mean risk, and
     the generalization risk the law's mean risk.
-    For n <= 6 items both are exact, from the law (_partition_law) and the
-    risks of its B(n) partitions, computed once per call.  The ground
-    truths of up to _SAMPLE_ROWS_MAX // M replications come from one
-    sampler pass, one stream per replication, with the bits of one sampler
-    call per replication.  The draw counts change no result there but are
-    still checked: the CLI passes its resolved defaults, so a count the
-    user set cannot be told apart.
-    For more items the risks are Monte-Carlo estimates from shared draws,
-    one replication at a time: empirical_draws partitions stand in for the
-    law, and generalization_draws fresh ones for the generalization mean.
-    Each batch is deduped as raw label rows, only the distinct rows are
-    canonicalized, and the canonical rows are deduped again.  The losses
-    come from one lazy table (_LossTable), read as blocks, and each risk
-    row is one dot product (_risks).
+    The ground truths of up to _SAMPLE_ROWS_MAX // M replications come
+    from one sampler pass, one stream per replication, with the bits of one
+    sampler call per replication, and are canonicalized once.
+    For n <= 6 items both risks are exact, from the law (_partition_law) and
+    the risks of its B(n) partitions, computed once per call.  The draw
+    counts change no result there but are still checked: the CLI passes its
+    resolved defaults, so a count the user set cannot be told apart.
+    For more items the risks are Monte-Carlo estimates: each replication
+    goes on drawing from its own stream, empirical_draws partitions that
+    stand in for the law, then generalization_draws fresh ones for the
+    generalization mean.  Each batch is canonicalized and deduped once
+    (_interned_batch).  The losses come from one lazy table (_LossTable),
+    read as blocks, and each risk row is one dot product (_risks).
     Replications whose risks land outside (0, 1) fall outside the bound's
     own precondition; they are skipped, their lhs NaN, and counted.  The
     bound holds when the fraction of evaluated replications within it
@@ -397,33 +385,31 @@ def verify_theorem(
     table = _LossTable()
     risks = np.empty((2, replications))  # empirical, generalization
     root = np.random.SeedSequence(seed)  # replication r draws from its child r
-    if P.shape[0] <= _EXACT_LAW_MAX_N:
+    exact = P.shape[0] <= _EXACT_LAW_MAX_N
+    if exact:
         rows, probs = _partition_law(P)
         ids = table.intern(rows)  # so a row's id is its law index
         law_risks = _risks(probs, table.loss_vector(ids, ids))
         risks[1] = probs @ law_risks
-        # a block of replications shares one sampler pass, each replication
-        # drawing from its own stream; successive spawns continue the
-        # children's numbering
-        per_block = max(1, _SAMPLE_ROWS_MAX // M)
-        for lo in range(0, replications, per_block):
-            block = root.spawn(min(per_block, replications - lo))
-            labels = sample_partition_labels(P, len(block) * M, block)
-            z0_ids = table.intern(canonicalize_labels(labels)).reshape(len(block), M)
-            risks[0, lo:lo + len(block)] = law_risks[z0_ids].mean(axis=1)
-    else:
-        for r, child in enumerate(root.spawn(replications)):
-            rng = np.random.default_rng(child)
-            z0_ids = table.intern(canonicalize_labels(sample_partition_labels(P, M, rng)))
-            phi_uniq, phi_counts = _distinct_partitions(P, empirical_draws, rng)
-            phi_ids = table.intern(phi_uniq)
-            phi_freq = phi_counts / phi_counts.sum()
-            gen_uniq, gen_counts = _distinct_partitions(P, generalization_draws, rng)
-            gen_ids = table.intern(gen_uniq)
-            gen_freq = gen_counts / gen_counts.sum()
-
-            risks[0, r] = np.mean(_risks(phi_freq, table.loss_vector(z0_ids, phi_ids)))
-            risks[1, r] = gen_freq @ _risks(phi_freq, table.loss_vector(gen_ids, phi_ids))
+    per_block = max(1, _SAMPLE_ROWS_MAX // M)
+    for lo in range(0, replications, per_block):
+        # successive spawns continue the children's numbering; past n = 6 a
+        # replication goes on drawing from its Generator, at n <= 6 the
+        # sampler's own Generators are freed when it returns
+        block = root.spawn(min(per_block, replications - lo))
+        streams = block if exact else [np.random.default_rng(child) for child in block]
+        z0 = canonicalize_labels(sample_partition_labels(P, len(block) * M, streams))
+        if exact:
+            risks[0, lo:lo + len(block)] = law_risks[table.intern(z0).reshape(-1, M)].mean(axis=1)
+            continue
+        for r, rng in enumerate(streams):
+            # a replication interns its ground truths before its batches, as
+            # it would alone, so every nmi call keeps its argument order
+            z0_ids = table.intern(z0[r * M:(r + 1) * M])
+            phi_ids, phi_freq = _interned_batch(table, P, empirical_draws, rng)
+            gen_ids, gen_freq = _interned_batch(table, P, generalization_draws, rng)
+            risks[0, lo + r] = np.mean(_risks(phi_freq, table.loss_vector(z0_ids, phi_ids)))
+            risks[1, lo + r] = gen_freq @ _risks(phi_freq, table.loss_vector(gen_ids, phi_ids))
 
     emp_risk, gen_risk = risks
     evaluated_mask = (0.0 < emp_risk) & (emp_risk < 1.0) & (0.0 < gen_risk) & (gen_risk < 1.0)

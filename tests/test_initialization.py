@@ -105,7 +105,7 @@ def test_init_assignment_groups_views_by_pattern():
     truth = np.array([0, 0, 0, 1, 1, 1])
     assert nmi(labels, truth) == pytest.approx(1.0)
     # initialize starts from one-hot rows of eta at its K-means labels and
-    # a uniform lambda, which its lambda-preserving M step keeps
+    # a uniform lambda, which initialize keeps
     state = initialize(S, ModelConfig(d=2, g=2, seed=0), seed=0)
     assert nmi(state.init_assignment, truth) == pytest.approx(1.0)
     np.testing.assert_array_equal(state.eta, np.eye(2)[state.init_assignment])

@@ -91,14 +91,6 @@ def test_m_step_descends_and_updates_lambda():
     assert not np.array_equal(logits, state.logits)
 
 
-def test_m_step_can_freeze_lambda():
-    S, state = _manual_state(2)
-    pc = precompute_kappa_gamma(S, state.eta)
-    n_reg = state.config.reg_multiplier(S.n_items)
-    _, lam = m_step(state, pc, n_reg, update_lambda=False)
-    np.testing.assert_array_equal(lam, state.lam)
-
-
 def test_e_step_single_parameterization_is_trivial():
     S, state = _manual_state(3, d=1, g=2)
     state.lam = np.array([1.0])

@@ -172,20 +172,6 @@ class TestUniqueRows:
             with pytest.raises(ValueError, match=r"\[0, 3\)"):
                 _unique_rows(np.array(rows))
 
-    @pytest.mark.parametrize("n,high", [(1, 3), (5, 5), (40, 9)])
-    def test_counted_rows(self, n, high):
-        # counted rows, duplicates among them, equal the expanded rows
-        rng = np.random.default_rng(n)
-        for size in (1, 17, 500):
-            rows = rng.integers(0, min(high, n), size=(size, n))
-            counts = rng.integers(1, 6, size=size)
-            got_rows, got_counts = _unique_rows(rows, counts)
-            want_rows, want_counts = np.unique(np.repeat(rows, counts, axis=0), axis=0,
-                                               return_counts=True)
-            assert got_counts.dtype == want_counts.dtype
-            np.testing.assert_array_equal(got_rows, want_rows)
-            np.testing.assert_array_equal(got_counts, want_counts)
-
 
 class TestSamplers:
     def test_all_ones_gives_one_cluster(self):
@@ -275,8 +261,11 @@ class TestSamplers:
         np.testing.assert_array_equal(sample_partition_labels(P, 4 * each, shared), want)
         for a, b in zip(alone, shared):
             assert a.bit_generator.state == b.bit_generator.state
-        # seeds go through np.random.default_rng
+        # seeds go through np.random.default_rng, in a list or bare
         np.testing.assert_array_equal(sample_partition_labels(P, 4 * each, seeds), want)
+        np.testing.assert_array_equal(sample_partition_labels(P, each, seeds[0]), want[:each])
+        np.testing.assert_array_equal(sample_partition_labels(P, each, 7),
+                                      sample_partition_labels(P, each, np.random.default_rng(7)))
 
     @pytest.mark.parametrize("size, rng, message", [
         (7, [0, 1], "size must be a multiple of the 2 streams, got 7"),
@@ -317,9 +306,9 @@ class TestPartitionLaw:
                                    rtol=0, atol=1e-12)
 
     def test_sampler_draws_batches_only_past_six_items(self, monkeypatch):
-        # the M ground truths always come from the sampler, at n <= 6 in one
-        # call for every replication; the batches of empirical and
-        # generalization draws only past n = 6, one replication at a time
+        # the M ground truths of every replication come from one sampler
+        # call at every n; the batches of empirical and generalization draws
+        # only past n = 6, one replication at a time
         import mvsimplex.partition
 
         sizes = []
@@ -327,7 +316,7 @@ class TestPartitionLaw:
         monkeypatch.setattr(mvsimplex.partition, "sample_partition_labels",
                             lambda P, size, rng: sizes.append(size) or sampler(P, size, rng))
         draws = {"empirical_draws": 50, "generalization_draws": 100}
-        for n, want in ((6, [2 * 3]), (7, [3, 50, 100] * 2)):
+        for n, want in ((6, [2 * 3]), (7, [2 * 3] + [50, 100] * 2)):
             sizes.clear()
             P = two_block_matrix(n, 0.9, 0.1)
             verify_theorem(P, [P] * 3, 0.2, replications=2, seed=0, **draws)
@@ -640,21 +629,37 @@ class TestVerifyTheorem:
         assert short.evaluated == 3
         np.testing.assert_array_equal(short.lhs, long.lhs[:3])
 
-    @pytest.mark.parametrize("rows_max", [1, 6, 9])
-    def test_blocks_of_replications_give_the_one_block_report(self, monkeypatch, rows_max):
+    @pytest.mark.parametrize("n, rows_max", [
+        *(pytest.param(5, rows_max, id=str(rows_max)) for rows_max in (1, 6, 9)),
+        *(pytest.param(7, rows_max, id=f"n7-{rows_max}") for rows_max in (1, 6, 9)),
+    ])
+    def test_blocks_of_replications_give_the_one_block_report(self, monkeypatch, n, rows_max):
+        # past six items each replication draws its batches after its block;
+        # nmi is not bit-symmetric, so its calls must keep their argument order
         import mvsimplex.partition
 
-        P = two_block_matrix(5, 0.9, 0.1)
+        calls = []
+        score = mvsimplex.partition.nmi
+        monkeypatch.setattr(mvsimplex.partition, "nmi", lambda a, b: calls.append(
+            (a.codes.tobytes(), b.codes.tobytes())) or score(a, b))
+        P = two_block_matrix(n, 0.9, 0.1)
         s_list = [np.clip(P, 0.05, 0.95)] * 3
-        whole = verify_theorem(P, s_list, 0.2, replications=7, seed=3)
+        draws = {"empirical_draws": 30, "generalization_draws": 40}
+        whole = verify_theorem(P, s_list, 0.2, replications=7, seed=3, **draws)
+        whole_calls, calls[:] = calls[:], []
         sizes = []
         sampler = mvsimplex.partition.sample_partition_labels
         monkeypatch.setattr(mvsimplex.partition, "sample_partition_labels",
                             lambda P, size, rng: sizes.append(size) or sampler(P, size, rng))
         monkeypatch.setattr(mvsimplex.partition, "_SAMPLE_ROWS_MAX", rows_max)
-        blocked = verify_theorem(P, s_list, 0.2, replications=7, seed=3)
-        per_block = 3 * max(1, rows_max // 3)
-        assert sizes == [per_block] * (21 // per_block) + [21 % per_block] * (21 % per_block > 0)
+        blocked = verify_theorem(P, s_list, 0.2, replications=7, seed=3, **draws)
+        per_block = max(1, rows_max // 3)
+        want = []
+        for lo in range(0, 7, per_block):
+            reps = min(per_block, 7 - lo)
+            want += [3 * reps] + [30, 40] * reps * (n > 6)
+        assert sizes == want
+        assert calls == whole_calls
         for field in dataclasses.fields(whole):
             assert np.array_equal(getattr(blocked, field.name), getattr(whole, field.name),
                                   equal_nan=True), field.name
